@@ -38,6 +38,7 @@ from .pipeline import (
     load_config,
     render,
 )
+from .rules import LABEL_VALUE, RULE_VALUE
 
 CONFIG_ENV_VAR = "NER_CONFIG"
 
@@ -167,8 +168,8 @@ def _cmd_query(args) -> int:
     with CorpusStore(path) as store:
         rows = store.query(label=args.label, surface=args.surface, rule=args.rule)
     for (doc_id, _, _), entity in rows:
-        sys.stdout.write(
-            f"{doc_id}\t{entity.label.value}\t{entity.surface}\t{entity.rule.value}\n")
+        sys.stdout.write(f"{doc_id}\t{LABEL_VALUE[entity.label]}\t{entity.surface}"
+                         f"\t{RULE_VALUE[entity.rule]}\n")
     return 0
 
 

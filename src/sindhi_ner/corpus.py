@@ -1,16 +1,19 @@
 """Tagged-corpus storage, gold-standard loading, and evaluation.
 
-CorpusStore keeps tagged documents in an append-only jsonl file with an
-in-memory index for querying; reopening a store rebuilds the index from
-disk.  GoldCorpus holds token/label sequences read from tab-separated
-files, and ``evaluate`` re-tags each gold document and scores the output
-token by token.
+CorpusStore keeps tagged documents in an append-only jsonl file.  In
+memory it holds each record by id and one flat table of every stored
+entity beside its record id, which ``query`` filters; reopening a store
+rebuilds both from disk.  GoldCorpus holds token/label sequences read
+from tab-separated files, and ``evaluate`` re-tags each gold document and
+scores the output token by token.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import contains, is_
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -22,11 +25,28 @@ from .errors import (
     TokenizationMismatch,
     UnknownLabel,
 )
-from .pipeline import Engine, EntitySpan, TaggedDocument, entity_from_dict, entity_to_dict
-from .rules import TagLabel
+from .pipeline import (
+    SPAN_LABEL,
+    SPAN_RULE,
+    SPAN_SURFACE,
+    SPAN_TOKEN_END,
+    SPAN_TOKEN_START,
+    Engine,
+    EntitySpan,
+    TaggedDocument,
+    entity_from_dict,
+    entity_to_dict,
+)
+from .rules import LABEL_BY_VALUE, LABEL_VALUE, RULE_BY_VALUE
 
 _DOCSTART = "-DOCSTART-"
-_LABEL_VALUES = frozenset(label.value for label in TagLabel)
+
+
+def _narrow(ids, entities, keep):
+    """The ids and entities at the positions ``keep`` marks true."""
+    keep = list(keep)
+    return list(compress(ids, keep)), list(compress(entities, keep))
+
 
 Location = Tuple[int, int, int]  # (record id, token_start, token_end)
 
@@ -39,48 +59,58 @@ class StoredDocument:
 
 
 class CorpusStore:
-    """Append-only jsonl store of tagged documents with a query index.
+    """Append-only jsonl store of tagged documents.
 
-    Records carry monotonically increasing integer ids starting at 1.
-    The file is the source of truth; the index lives in memory and is
-    rebuilt on open.  Writes are flushed per record.
+    Records carry strictly increasing integer ids starting at 1.  The
+    file is the source of truth.  In memory the store keeps the records by
+    id and a flat table of every stored entity, in the order the records
+    were loaded or appended, beside each entity's record id; ``query``
+    filters that table.  Both are rebuilt on open.  The file is opened for
+    writing on the first append, so a store that is only read never
+    writes; writes are flushed per record.  Records returned by ``get``
+    and ``documents`` are the stored ones and must not be modified.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._records: Dict[int, StoredDocument] = {}
         self._next_id = 1
-        # (label value, casefolded surface) -> locations, insertion order
-        self._index: Dict[Tuple[str, str], List[Location]] = {}
+        # Every stored entity in insertion order, and its record's id.
+        self._entities: List[EntitySpan] = []
+        self._entity_ids: List[int] = []
+        self._fh = None
+        # The file's last record has no newline; the first append writes one.
+        self._unterminated = False
         if self.path.exists():
             self._load()
-        self._fh = open(self.path, "a", encoding="utf-8")
 
     def _load(self):
         offset = 0
+        raw = b""
         with open(self.path, "rb") as fh:
             for raw in fh:
-                line = raw.decode("utf-8", errors="replace").strip()
-                if line:
-                    try:
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if line:
                         record = json.loads(line)
                         doc_id = record["id"]
                         text = record["text"]
                         entities = [entity_from_dict(d) for d in record["entities"]]
                         if not isinstance(doc_id, int) or doc_id < self._next_id:
                             raise ValueError("record ids must increase")
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise CorruptStore(self.path, offset) from exc
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CorruptStore(self.path, offset) from exc
+                if line:
                     self._admit(StoredDocument(doc_id, text, entities))
                 offset += len(raw)
+        self._unterminated = bool(raw) and not raw.endswith(b"\n")
 
     def _admit(self, doc: StoredDocument):
         self._records[doc.doc_id] = doc
         self._next_id = doc.doc_id + 1
-        for e in doc.entities:
-            key = (e.label.value, e.surface.casefold())
-            self._index.setdefault(key, []).append(
-                (doc.doc_id, e.token_start, e.token_end))
+        if doc.entities:
+            self._entities.extend(doc.entities)
+            self._entity_ids.extend(repeat(doc.doc_id, len(doc.entities)))
 
     def append(self, tagged: TaggedDocument) -> int:
         """Store one tagged document; returns its assigned id."""
@@ -89,8 +119,13 @@ class CorpusStore:
             {"id": doc.doc_id, "text": doc.text,
              "entities": [entity_to_dict(e) for e in doc.entities]},
             ensure_ascii=False)
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+        if self._unterminated:
+            line = "\n" + line
         self._fh.write(line + "\n")
         self._fh.flush()
+        self._unterminated = False
         self._admit(doc)
         return doc.doc_id
 
@@ -101,27 +136,44 @@ class CorpusStore:
         return len(self._records)
 
     def documents(self) -> Iterator[StoredDocument]:
-        for doc_id in sorted(self._records):
-            yield self._records[doc_id]
+        # Ids increase on load and on append, so insertion order is id
+        # order.  The copy lets a caller append while iterating.
+        yield from list(self._records.values())
 
     def query(self, label: Optional[str] = None, surface: Optional[str] = None,
               rule: Optional[str] = None) -> List[Tuple[Location, EntitySpan]]:
         """Entities matching every given filter, ordered by (id, start).
 
         ``label`` matches exactly, ``surface`` is a casefolded substring
-        test, ``rule`` matches the producing rule's name exactly.
+        test, ``rule`` matches the producing rule's name exactly.  A label
+        or rule that names no member matches nothing.
         """
-        needle = surface.casefold() if surface is not None else None
-        out = []
-        for doc_id in sorted(self._records):
-            for e in self._records[doc_id].entities:
-                if label is not None and e.label.value != label:
-                    continue
-                if needle is not None and needle not in e.surface.casefold():
-                    continue
-                if rule is not None and e.rule.value != rule:
-                    continue
-                out.append(((doc_id, e.token_start, e.token_end), e))
+        if label is not None:
+            label = LABEL_BY_VALUE.get(label)
+            if label is None:
+                return []
+        if rule is not None:
+            rule = RULE_BY_VALUE.get(rule)
+            if rule is None:
+                return []
+        # Each filter narrows the table in turn, so the later tests, the
+        # casefolded surface above all, run only on the rows kept so far.
+        ids, entities = self._entity_ids, self._entities
+        if label is not None:
+            ids, entities = _narrow(
+                ids, entities, map(is_, map(SPAN_LABEL, entities), repeat(label)))
+        if rule is not None:
+            ids, entities = _narrow(
+                ids, entities, map(is_, map(SPAN_RULE, entities), repeat(rule)))
+        if surface is not None:
+            folded = map(str.casefold, map(SPAN_SURFACE, entities))
+            ids, entities = _narrow(
+                ids, entities, map(contains, folded, repeat(surface.casefold())))
+        out = list(zip(
+            zip(ids, map(SPAN_TOKEN_START, entities), map(SPAN_TOKEN_END, entities)),
+            entities))
+        # The table holds records in id order, so only a hand-edited record
+        # whose entities are out of start order needs this stable sort.
         out.sort(key=lambda item: (item[0][0], item[0][1]))
         return out
 
@@ -193,7 +245,7 @@ def load_gold(path) -> GoldCorpus:
                 raise MalformedLine(
                     path, lineno, f"expected token<TAB>label, got {line!r}")
             token, label = parts[0].strip(), parts[1].strip()
-            if label != "O" and label not in _LABEL_VALUES:
+            if label != "O" and label not in LABEL_BY_VALUE:
                 raise UnknownLabel(path, lineno, f"unknown label {label!r}")
             tokens.append(token)
             labels.append(label)
@@ -281,8 +333,9 @@ def score_labels(gold: Sequence[Sequence[str]],
 def predicted_labels(doc: TaggedDocument) -> List[str]:
     labels = ["O"] * len(doc.tokens)
     for e in doc.entities:
+        label = LABEL_VALUE[e.label]
         for i in range(e.token_start, e.token_end):
-            labels[i] = e.label.value
+            labels[i] = label
     return labels
 
 
@@ -297,7 +350,7 @@ def evaluate(engine: Engine, gold: GoldCorpus) -> EvalReport:
         raise EmptyCorpus("gold corpus has no documents")
     for idx, doc in enumerate(gold.documents):
         for label in doc.labels:
-            if label != "O" and label not in _LABEL_VALUES:
+            if label != "O" and label not in LABEL_BY_VALUE:
                 raise LabelMismatch(
                     f"document {idx + 1}: label {label!r} is not a tag label")
     gold_seqs = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, repeat
-from operator import and_, attrgetter, eq, sub
+from operator import and_, attrgetter, eq, itemgetter, sub
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -37,8 +37,12 @@ from .rules import (
     DEFAULT_PRIORITIES,
     DIRECT_CATEGORIES,
     DIRECT_LABELS,
+    LABEL_BY_VALUE,
+    LABEL_VALUE,
     PERSON_CATEGORIES,
     Proposal,
+    RULE_BY_VALUE,
+    RULE_VALUE,
     RuleId,
     RuleSet,
     SURNAME_CATEGORIES,
@@ -86,6 +90,13 @@ class EntitySpan(NamedTuple):
     label: TagLabel
     rule: RuleId
     surface: str
+
+
+# Getters of single EntitySpan fields, for code that reads one field of
+# many spans in C.  They index the tuple by the field order above.
+(SPAN_TOKEN_START, SPAN_TOKEN_END, SPAN_LABEL, SPAN_RULE, SPAN_SURFACE) = (
+    itemgetter(EntitySpan._fields.index(name))
+    for name in ("token_start", "token_end", "label", "rule", "surface"))
 
 
 @dataclass(frozen=True)
@@ -514,7 +525,7 @@ def _render_inline(doc: TaggedDocument) -> str:
     pieces = []
     pos = 0
     for e in doc.entities:
-        start, end, label = e.start_byte, e.end_byte, e.label.value
+        start, end, label = e.start_byte, e.end_byte, LABEL_VALUE[e.label]
         pieces.append(src[pos:start])
         pieces.append(f"<{label}>".encode("utf-8"))
         pieces.append(src[start:end])
@@ -527,8 +538,9 @@ def _render_inline(doc: TaggedDocument) -> str:
 def _render_tabular(doc: TaggedDocument) -> str:
     labels = ["O"] * len(doc.tokens)
     for e in doc.entities:
+        label = LABEL_VALUE[e.label]
         for i in range(e.token_start, e.token_end):
-            labels[i] = e.label.value
+            labels[i] = label
     return "\n".join(f"{surface}\t{label}"
                      for surface, label in zip(doc.tokens.surfaces, labels))
 
@@ -541,18 +553,25 @@ def entity_to_dict(e: EntitySpan) -> dict:
         "end_byte": end_byte,
         "token_start": token_start,
         "token_end": token_end,
-        "label": label.value,
-        "rule": rule.value,
+        "label": LABEL_VALUE[label],
+        "rule": RULE_VALUE[rule],
         "surface": surface,
     }
 
 
 def entity_from_dict(d: Mapping) -> EntitySpan:
-    return EntitySpan(
-        token_start=d["token_start"], token_end=d["token_end"],
-        start_byte=d["start_byte"], end_byte=d["end_byte"],
-        label=TagLabel(d["label"]), rule=RuleId(d["rule"]),
-        surface=d["surface"])
+    """The EntitySpan of an ``entity_to_dict`` mapping.
+
+    Raises ValueError for a label or rule that names no member.
+    """
+    label, rule = d["label"], d["rule"]
+    try:
+        label, rule = LABEL_BY_VALUE[label], RULE_BY_VALUE[rule]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown label or rule: {label!r}, {rule!r}") from None
+    return tuple.__new__(EntitySpan, (
+        d["token_start"], d["token_end"], d["start_byte"], d["end_byte"],
+        label, rule, d["surface"]))
 
 
 def _render_jsonl(doc: TaggedDocument) -> str:

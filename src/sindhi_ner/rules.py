@@ -83,6 +83,14 @@ _RULE_ORDER = {rule: i for i, rule in enumerate(RuleId)}
 _LABEL_ORDER = {label: i for i, label in
                 enumerate(sorted(TagLabel, key=lambda label: label.value))}
 
+# Each member's string value, and the member of each value.  Enum.value is
+# a Python-level property and TagLabel(value) a Python-level call; these
+# dict lookups run in C on the render, store and query paths.
+LABEL_VALUE: Dict[TagLabel, str] = {label: label.value for label in TagLabel}
+RULE_VALUE: Dict[RuleId, str] = {rule: rule.value for rule in RuleId}
+LABEL_BY_VALUE: Dict[str, TagLabel] = {label.value: label for label in TagLabel}
+RULE_BY_VALUE: Dict[str, RuleId] = {rule.value: rule for rule in RuleId}
+
 DEFAULT_PRIORITIES: Dict[RuleId, int] = {
     RuleId.R_GazetteerDirect: 0,
     RuleId.R1_DateTime: 1,

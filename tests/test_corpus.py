@@ -1,8 +1,12 @@
 """Store round-trips, gold-corpus loading, and token-level scoring."""
 
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sindhi_ner.corpus import (
     CorpusStore,
@@ -35,6 +39,60 @@ SAMPLES = (
     "هن ڇهه سو پنج رپيا ڏنا",
     "وڌيڪ ڄاڻ http://nlp.cs.nyu.edu تي لکو",
 )
+
+
+def linear_scan(store, label=None, surface=None, rule=None):
+    """Reference for CorpusStore.query: every record's entities in turn."""
+    out = []
+    for doc in store.documents():
+        for e in doc.entities:
+            if label is not None and e.label.value != label:
+                continue
+            if surface is not None and \
+                    surface.casefold() not in e.surface.casefold():
+                continue
+            if rule is not None and e.rule.value != rule:
+                continue
+            out.append(((doc.doc_id, e.token_start, e.token_end), e))
+    out.sort(key=lambda item: item[0][:2])
+    return out
+
+
+# Filters for the differential tests, unknown label and rule values and an
+# empty surface among them.
+QUERY_FILTERS = [
+    dict(zip(("label", "rule", "surface"), values)) for values in itertools.product(
+        (None, "PERSON", "LOCATION", "DATE", "PERSONN", "person", "R1_DateTime"),
+        (None, "R3_GazetteerName", "R_GazetteerDirect", "R0", "PERSON"),
+        (None, "", "STRASSE", "nyu", "ڪراچي", "ghost"))]
+
+
+def assert_queries_match_scan(store):
+    for filters in QUERY_FILTERS:
+        assert store.query(**filters) == linear_scan(store, **filters), filters
+
+
+def entity_dict(token_start, token_end, label, rule, surface):
+    return {"start_byte": 10 * token_start, "end_byte": 10 * token_end,
+            "token_start": token_start, "token_end": token_end,
+            "label": label, "rule": rule, "surface": surface}
+
+
+def write_hand_edited_store(path):
+    """Records 1, 5 and 9; record 5 lists its entities out of start order."""
+    records = [
+        {"id": 1, "text": "اويس ڪراچي ويو", "entities": [
+            entity_dict(0, 1, "PERSON", "R3_GazetteerName", "اويس"),
+            entity_dict(1, 2, "LOCATION", "R_GazetteerDirect", "ڪراچي")]},
+        {"id": 5, "text": "a b c d e", "entities": [
+            entity_dict(3, 5, "LOCATION", "R_GazetteerDirect", "Straße"),
+            entity_dict(0, 1, "PERSON", "R3_GazetteerName", "NYU"),
+            entity_dict(3, 4, "LOCATION", "R2_Suffix", "ڪراچي Straße"),
+            entity_dict(1, 2, "DATE", "R1_DateTime", "nyu.edu")]},
+        {"id": 9, "text": "x", "entities": []},
+    ]
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                            for r in records), "utf-8")
 
 
 @pytest.fixture()
@@ -114,19 +172,32 @@ class TestStore:
                 (None, None, None), ("PERSON", None, None),
                 (None, "يونيورسٽي", None), (None, None, "R10_OrgKeyword"),
                 ("URL", "nyu", "R_UrlEmail"), ("DATE", "ghost", None)):
-            expected = []
-            for doc in store.documents():
-                for e in doc.entities:
-                    if label is not None and e.label.value != label:
-                        continue
-                    if surface is not None and \
-                            surface.casefold() not in e.surface.casefold():
-                        continue
-                    if rule is not None and e.rule.value != rule:
-                        continue
-                    expected.append(((doc.doc_id, e.token_start, e.token_end), e))
             assert store.query(label=label, surface=surface, rule=rule) \
-                == expected
+                == linear_scan(store, label=label, surface=surface, rule=rule)
+        assert_queries_match_scan(store)
+
+    def test_hand_edited_store_matches_linear_scan(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        write_hand_edited_store(path)
+        with CorpusStore(path) as st:
+            assert [d.doc_id for d in st.documents()] == [1, 5, 9]
+            assert [loc for loc, _ in st.query()] == [
+                (1, 0, 1), (1, 1, 2), (5, 0, 1), (5, 1, 2), (5, 3, 5), (5, 3, 4)]
+            assert [e.surface for _, e in st.query(surface="STRASSE")] == [
+                "Straße", "ڪراچي Straße"]
+            assert st.query(label="PERSONN") == []
+            assert st.query(rule="R0") == []
+            assert st.query(label="person") == []
+            assert st.query(surface="") == st.query()
+            assert_queries_match_scan(st)
+            # Rows admitted on append sit beside rows admitted on load.
+            for text in SAMPLES:
+                st.append(engine.tag_text(text))
+            assert [d.doc_id for d in st.documents()] == [1, 5, 9, 10, 11, 12, 13, 14]
+            assert_queries_match_scan(st)
+            before = [st.query(**f) for f in QUERY_FILTERS]
+        with CorpusStore(path) as st:
+            assert [st.query(**f) for f in QUERY_FILTERS] == before
 
     def test_free_function_forms(self, store, engine):
         doc_id = store_document(store, engine.tag_text(SAMPLES[0]))
@@ -167,6 +238,84 @@ class TestStore:
         st.append(engine.tag_text(SAMPLES[0]))
         st.close()
         st.close()
+
+    def test_invalid_utf8_record_is_corrupt(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        with CorpusStore(path) as st:
+            st.append(engine.tag_text(SAMPLES[0]))
+        clean_size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b'{"id": 2, "text": "\xff\xfe", "entities": []}\n')
+        with pytest.raises(CorruptStore) as err:
+            CorpusStore(path)
+        assert err.value.byte_offset == clean_size
+
+    def test_append_after_record_without_newline(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        with CorpusStore(path) as st:
+            st.append(engine.tag_text(SAMPLES[0]))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        with CorpusStore(path) as st:
+            assert len(st) == 1
+            assert st.append(engine.tag_text(SAMPLES[1])) == 2
+            assert st.append(engine.tag_text(SAMPLES[2])) == 3
+        with CorpusStore(path) as st:
+            assert [d.text for d in st.documents()] == [
+                engine.tag_text(text).source for text in SAMPLES[:3]]
+        assert path.read_bytes().count(b"\n") == 3
+
+    def test_read_only_use_creates_no_file(self, tmp_path):
+        path = tmp_path / "missing.jsonl"
+        assert CorpusStore(path).query() == []
+        with CorpusStore(path) as st:
+            assert len(st) == 0
+            assert list(st.documents()) == []
+        st = CorpusStore(path)
+        st.close()
+        st.close()
+        assert not path.exists()
+
+    def test_read_only_use_leaves_file_unchanged(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        with CorpusStore(path) as st:
+            st.append(engine.tag_text(SAMPLES[0]))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        content = path.read_bytes()
+        with CorpusStore(path) as st:
+            assert st.query(label="PERSON")
+        assert path.read_bytes() == content
+
+
+# One step of a store's life: append one of SAMPLES, reopen, or strip the
+# file's final newline and reopen.
+_STORE_OPS = st.one_of(st.sampled_from(range(len(SAMPLES))),
+                       st.sampled_from(("reopen", "unterminate")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_STORE_OPS, max_size=12))
+def test_appends_and_reopens_preserve_records(engine, ops):
+    tagged = [engine.tag_text(text) for text in SAMPLES]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        expected = []
+        store = CorpusStore(path)
+        try:
+            for op in ops:
+                if op == "unterminate" and path.exists():
+                    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+                if op in ("reopen", "unterminate"):
+                    store.close()
+                    store = CorpusStore(path)
+                else:
+                    doc = tagged[op]
+                    assert store.append(doc) == len(expected) + 1
+                    expected.append((doc.source, list(doc.entities)))
+                assert [(d.doc_id, d.text, d.entities) for d in store.documents()] \
+                    == [(i, text, ents) for i, (text, ents) in enumerate(expected, 1)]
+                assert_queries_match_scan(store)
+        finally:
+            store.close()
 
 
 def write_gold(tmp_path, text):

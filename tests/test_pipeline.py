@@ -346,6 +346,16 @@ class TestRender:
         doc = engine.tag_text("اويس جمائي ويو")
         for entity in doc.entities:
             assert entity_from_dict(entity_to_dict(entity)) == entity
+            assert type(entity_from_dict(entity_to_dict(entity))) is EntitySpan
+
+    @pytest.mark.parametrize("field, value", [
+        ("label", "PERSONN"), ("label", "R1_DateTime"), ("label", ["PERSON"]),
+        ("rule", "R0"), ("rule", "PERSON"), ("rule", None)])
+    def test_entity_from_dict_rejects_unknown_values(self, engine, field, value):
+        d = entity_to_dict(engine.tag_text("اويس ويو").entities[0])
+        d[field] = value
+        with pytest.raises(ValueError):
+            entity_from_dict(d)
 
     def test_unknown_format(self, engine):
         with pytest.raises(UnknownFormat):
