@@ -29,6 +29,7 @@ from .errors import (
     CorruptStore,
     DuplicateEntry,
     EmptyCorpus,
+    InvalidInput,
     LabelMismatch,
     MalformedLine,
     MissingDataFile,
@@ -78,6 +79,7 @@ __all__ = [
     "GazetteerEntry",
     "GoldCorpus",
     "GoldDocument",
+    "InvalidInput",
     "LabelMismatch",
     "LabelScore",
     "MalformedLine",

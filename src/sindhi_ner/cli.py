@@ -19,7 +19,13 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .corpus import CorpusStore, evaluate, load_gold
-from .errors import DuplicateEntry, MissingDataFile, NerError, UnknownCategory
+from .errors import (
+    DuplicateEntry,
+    InvalidInput,
+    MissingDataFile,
+    NerError,
+    UnknownCategory,
+)
 from .gazetteer import (
     Category,
     LETTER_NAME,
@@ -110,12 +116,23 @@ def _resolve_config(args) -> EngineConfig:
 
 
 def _read_input(name: str) -> str:
+    """The text of an input file, or of stdin for ``-``, read as UTF-8."""
     if name == "-":
-        return sys.stdin.read()
-    path = Path(name)
-    if not path.is_file():
-        raise MissingDataFile(path)
-    return path.read_text(encoding="utf-8")
+        # Stdin's bytes are decoded like a file's, whatever the locale; a
+        # stream with no bytes beneath it (StringIO) is already text.
+        if not hasattr(sys.stdin, "buffer"):
+            return sys.stdin.read()
+        where, data = "stdin", sys.stdin.buffer.read()
+    else:
+        path = Path(name)
+        if not path.is_file():
+            raise MissingDataFile(path)
+        where, data = str(path), path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(
+            f"{where}: not valid UTF-8 at byte offset {exc.start}") from None
 
 
 def _cmd_tag(args) -> int:
@@ -205,7 +222,10 @@ def _cmd_gazetteer(args) -> int:
 
 def _gazetteer_add(args, config: EngineConfig) -> int:
     target = Path(args.file)
-    lineno = sum(1 for _ in open(target, encoding="utf-8")) + 1 if target.exists() else 1
+    lineno = 1
+    if target.exists():
+        with open(target, encoding="utf-8") as fh:
+            lineno += sum(1 for _ in fh)
     try:
         category = Category[args.category]
     except KeyError:

@@ -26,6 +26,7 @@ from .errors import (
     UnknownLabel,
 )
 from .pipeline import (
+    JSONL_ENCODER,
     SPAN_LABEL,
     SPAN_RULE,
     SPAN_SURFACE,
@@ -115,10 +116,9 @@ class CorpusStore:
     def append(self, tagged: TaggedDocument) -> int:
         """Store one tagged document; returns its assigned id."""
         doc = StoredDocument(self._next_id, tagged.source, list(tagged.entities))
-        line = json.dumps(
+        line = JSONL_ENCODER.encode(
             {"id": doc.doc_id, "text": doc.text,
-             "entities": [entity_to_dict(e) for e in doc.entities]},
-            ensure_ascii=False)
+             "entities": [entity_to_dict(e) for e in doc.entities]})
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
         if self._unterminated:

@@ -56,6 +56,10 @@ class UnknownFormat(NerError):
     code = "unknown-format"
 
 
+class InvalidInput(NerError):
+    code = "invalid-input"
+
+
 class EmptyCorpus(NerError):
     code = "empty-corpus"
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
-from operator import and_, attrgetter, eq, itemgetter, sub
+from operator import and_, attrgetter, eq, itemgetter, or_, sub
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -64,6 +65,10 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 DEFAULT_CONFIG_PATH = DATA_DIR / "engine.conf"
 
 RENDER_FORMATS = ("inline", "tabular", "jsonl")
+
+# The encoder of every jsonl line the package writes: the same output as
+# json.dumps(record, ensure_ascii=False), without a new encoder per call.
+JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 _START = attrgetter("start")
 _END = attrgetter("end")
@@ -320,8 +325,9 @@ def tag_text(engine: Engine, raw: str) -> TaggedDocument:
 def _mark(cover: set, *found: List[Proposal]) -> None:
     """Add every position covered by the proposals to ``cover``."""
     for proposals in found:
-        cover.update(chain.from_iterable(
-            map(range, map(_START, proposals), map(_END, proposals))))
+        if proposals:
+            cover.update(chain.from_iterable(
+                map(range, map(_START, proposals), map(_END, proposals))))
 
 
 def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
@@ -334,8 +340,12 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
     matches additionally never override date/time/URL/email shapes.
 
     Each rule visits only the positions its scan gate admits.  One pass
-    over the norms finds the positions any gate admits; each rule then
-    filters those by its own gate bit.
+    over the norms finds the positions any gate admits, and the OR of
+    their gate bits is the presence mask: a rule whose bit is absent from
+    it cannot fire, so its phase is skipped.  Each remaining rule filters
+    the candidates by its own bit.  Rule 1 runs only when the stream holds
+    a number literal, and the URL/email and suffix rules only when some
+    distinct norm passes their gate.
     """
     rules = engine.rules
     enabled = engine.enabled
@@ -346,6 +356,7 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
     gates = engine._gates
     candidates = list(compress(positions, map(gates.__contains__, norms)))
     bits = list(map(gates.__getitem__, map(norms.__getitem__, candidates)))
+    present = reduce(or_, bits, 0)
 
     def at(gate: int):
         """Positions whose norm carries ``gate``, in text order."""
@@ -360,7 +371,7 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
 
     dates = links = direct = titles = surnames = suffixed = names = ()
     initials = ambiguous = numbers = abbreviations = orgs = ()
-    if enabled[RuleId.R1_DateTime]:
+    if enabled[RuleId.R1_DateTime] and NUMBER in stream.kinds:
         numeric = map(eq, stream.kinds, repeat(NUMBER))
         dates = scan(rules.match_datetime, compress(positions, numeric))
     if enabled[RuleId.R_UrlEmail]:
@@ -369,12 +380,13 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
         # below, is tested once per distinct norm.
         shaped = {n for n in distinct
                   if "://" in n or "@" in n or n.startswith("www.")}
-        links = scan(rules.match_url_email,
-                     compress(positions, map(shaped.__contains__, norms)))
+        if shaped:
+            links = scan(rules.match_url_email,
+                         compress(positions, map(shaped.__contains__, norms)))
     _mark(covered, dates, links)
     _mark(blocked, dates)
 
-    if enabled[RuleId.R_GazetteerDirect]:
+    if enabled[RuleId.R_GazetteerDirect] and present & _DIRECT:
         pri = rules.priorities[RuleId.R_GazetteerDirect]
         direct = []
         for i in at(_DIRECT):
@@ -387,32 +399,33 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
             direct.append(Proposal(i, i + k, DIRECT_LABELS[entry.category],
                                    RuleId.R_GazetteerDirect, pri))
 
-    if enabled[RuleId.R5_TitleDesignation]:
+    if enabled[RuleId.R5_TitleDesignation] and present & _TITLE:
         titles = list(chain.from_iterable(
             map(rules.match_title_designation, repeat(stream), at(_TITLE))))
 
-    if enabled[RuleId.R4_SurnameTrigger]:
+    if enabled[RuleId.R4_SurnameTrigger] and present & _SURNAME:
         surnames = scan(rules.match_surname_trigger, at(_SURNAME))
     _mark(covered, direct, titles, surnames)
     _mark(blocked, titles, surnames)
 
     if enabled[RuleId.R2_Suffix]:
-        pri = rules.priorities[RuleId.R2_Suffix]
         endings, markers = rules.suffix_endings, rules.person_markers
         # The gate depends on the norm alone, so each distinct norm is
         # tested once.
         gate = {n for n in distinct if n in markers or n.endswith(endings)}
-        kinds = stream.kinds
-        suffixed = []
-        for i in filterfalse(covered.__contains__,
-                             compress(positions, map(gate.__contains__, norms))):
-            if kinds[i] != WORD:
-                continue
-            hit = rules.match_suffix(stream[i])
-            if hit is not None:
-                suffixed.append(Proposal(i, i + 1, hit[0], RuleId.R2_Suffix, pri))
+        if gate:
+            pri = rules.priorities[RuleId.R2_Suffix]
+            kinds = stream.kinds
+            suffixed = []
+            for i in filterfalse(covered.__contains__,
+                                 compress(positions, map(gate.__contains__, norms))):
+                if kinds[i] != WORD:
+                    continue
+                hit = rules.match_suffix(stream[i])
+                if hit is not None:
+                    suffixed.append(Proposal(i, i + 1, hit[0], RuleId.R2_Suffix, pri))
 
-    if enabled[RuleId.R3_GazetteerName]:
+    if enabled[RuleId.R3_GazetteerName] and present & _NAME:
         pri = rules.priorities[RuleId.R3_GazetteerName]
         names = []
         for i in at(_NAME):
@@ -421,25 +434,25 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
                 names.append(Proposal(i, i + hit[1], TagLabel.PERSON,
                                       RuleId.R3_GazetteerName, pri))
 
-    if enabled[RuleId.R8_Initials]:
+    if enabled[RuleId.R8_Initials] and present & _LETTER:
         initials = scan(rules.match_initials, at(_LETTER))
     _mark(blocked, suffixed, names)
 
-    if enabled[RuleId.R6_Postposition]:
+    if enabled[RuleId.R6_Postposition] and present & _AMBIGUOUS:
         ambiguous = scan(rules.resolve_postposition,
                          filterfalse(blocked.__contains__, at(_AMBIGUOUS)))
 
-    if enabled[RuleId.R7_NumberWords]:
+    if enabled[RuleId.R7_NumberWords] and present & _NUMBER_WORD:
         numbers = scan(rules.match_number_words, at(_NUMBER_WORD))
 
-    if enabled[RuleId.R9_Abbreviation]:
+    if enabled[RuleId.R9_Abbreviation] and present & (_ABBREVIATION | _LETTER):
         by_initials: set = set()
         _mark(by_initials, initials)
         abbreviations = scan(rules.match_abbreviation, (
             i for i, bit in zip(candidates, bits)
             if bit & _ABBREVIATION or (bit & _LETTER and i not in by_initials)))
 
-    if enabled[RuleId.R10_OrgKeyword]:
+    if enabled[RuleId.R10_OrgKeyword] and present & _ORG_KEYWORD:
         _mark(covered, suffixed, names, initials, ambiguous, numbers, abbreviations)
         made = map(rules.match_org_keyword, repeat(stream), at(_ORG_KEYWORD),
                    repeat(covered))
@@ -491,6 +504,8 @@ def resolve_conflicts(proposals: Iterable[Proposal],
                       stream: TokenStream) -> Tuple[EntitySpan, ...]:
     """Select winning proposals and materialize them against the stream."""
     taken = select_proposals(proposals)
+    if not taken:
+        return ()
     token_starts = list(map(_START, taken))
     token_ends = list(map(_END, taken))
     start_bytes = list(map(stream.starts.__getitem__, token_starts))
@@ -579,7 +594,7 @@ def _render_jsonl(doc: TaggedDocument) -> str:
         "text": doc.source,
         "entities": [entity_to_dict(e) for e in doc.entities],
     }
-    return json.dumps(record, ensure_ascii=False)
+    return JSONL_ENCODER.encode(record)
 
 
 def parse_jsonl(text: str) -> List[Tuple[str, List[EntitySpan]]]:

@@ -127,7 +127,7 @@ def strip_edge_specials(surface: str, specials: str = EDGE_SPECIALS):
     >>> strip_edge_specials("(KTN)")
     ('KTN', [('(', 'start'), (')', 'end')])
     """
-    special_set = frozenset(specials)
+    special_set = _special_set(specials)
     lo, hi = 0, len(surface)
     stripped = []
     while lo < hi and surface[lo] in special_set:
@@ -147,6 +147,10 @@ def _classify(core: str) -> str:
     if any(map(str.isalpha, core)):
         return WORD
     return SYMBOL
+
+
+# The set of each specials string, built once instead of on every call.
+_special_set = lru_cache(maxsize=16)(frozenset)
 
 
 @lru_cache(maxsize=16)
@@ -185,7 +189,7 @@ def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
     kinds = [WORD] * len(surfaces)
     # Only edge punctuation and surfaces that are not all letters (numbers,
     # symbols, words with marks or ZWNJ) need a closer look.
-    special_set = frozenset(specials)
+    special_set = _special_set(specials)
     odd = map(or_, map(special_set.__contains__, surfaces),
               map(not_, map(str.isalpha, surfaces)))
     for i in compress(range(len(surfaces)), odd):

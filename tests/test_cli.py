@@ -1,11 +1,17 @@
 """End-to-end command tests through main(argv)."""
 
+import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import sindhi_ner
 from sindhi_ner.cli import CONFIG_ENV_VAR, main
 from sindhi_ner.corpus import CorpusStore
 from sindhi_ner.pipeline import DATA_DIR, DEFAULT_CONFIG_PATH
@@ -61,6 +67,42 @@ class TestTag:
         feed_stdin(monkeypatch, "")
         assert main(["tag"]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_invalid_utf8_file(self, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"\xff\xfe bad")
+        assert main(["tag", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:invalid-input: ")
+        assert "byte offset 0" in captured.err.splitlines()[0]
+
+    def test_invalid_utf8_stdin(self, monkeypatch, capsys):
+        data = "اويس ".encode("utf-8") + b"\xff"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8"))
+        assert main(["tag"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:invalid-input: stdin: ")
+        assert "byte offset 9" in err
+
+    @pytest.mark.parametrize("data, code, out", [
+        (b"\xff\xfe bad", 1, ""),
+        (SENTENCE.encode("utf-8"), 0, INLINE + "\n")])
+    def test_stdin_is_utf8_in_posix_locale(self, data, code, out):
+        # In the POSIX locale the interpreter decodes stdin leniently; the
+        # command still reads it as UTF-8, like a file.
+        src = os.path.dirname(os.path.dirname(sindhi_ner.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": src}
+        for name in ("PYTHONUTF8", "PYTHONIOENCODING"):
+            env.pop(name, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from sindhi_ner.cli import run; run()", "tag"],
+            input=data, capture_output=True, env=env, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.decode("utf-8") == out
+        if code:
+            assert proc.stderr.startswith(b"error:invalid-input: stdin: ")
 
     def test_multiple_files_ordered(self, tmp_path, capsys):
         names = []
@@ -279,6 +321,19 @@ class TestGazetteer:
         assert capsys.readouterr().err.startswith("error:duplicate-entry: ")
         assert len(target.read_text("utf-8").splitlines()) == 1
 
+    def test_add_closes_target_file(self, tmp_path, capsys):
+        # The scenario of test_add_refuses_duplicate_in_target leaves no
+        # file handle for the collector to find.
+        target = tmp_path / "extra.tsv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            main(["gazetteer", "add", "نئون شهر", "Location",
+                  "--file", str(target)])
+            assert main(["gazetteer", "add", "نئون شهر", "Location",
+                         "--file", str(target)]) == 1
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_add_refuses_duplicate_of_configured_entry(self, tmp_path, capsys):
         target = tmp_path / "extra.tsv"
         assert main(["gazetteer", "add", "ڪراچي", "Location",
@@ -309,9 +364,12 @@ class TestGazetteer:
 
 class TestErrorPrefixInvariant:
     def test_every_failure_prefixes_stderr(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff")
         failing = [
             ["tag", str(tmp_path / "ghost.txt")],
             ["tag", "--config", str(tmp_path / "ghost.conf")],
+            ["tag", str(bad)],
             ["eval", "--gold", str(tmp_path / "ghost.tsv")],
             ["query", "--store", str(tmp_path / "ghost.jsonl")],
             ["gazetteer", "add", "اويس", "Nope",

@@ -29,7 +29,9 @@ from sindhi_ner.errors import (
     TokenizationMismatch,
     UnknownLabel,
 )
-from sindhi_ner.pipeline import DATA_DIR
+from sindhi_ner.pipeline import DATA_DIR, entity_to_dict, render
+
+from test_acceptance import GOLDEN
 
 
 SAMPLES = (
@@ -118,6 +120,22 @@ class TestStore:
         for text in SAMPLES:
             store.append(engine.tag_text(text))
         assert [d.doc_id for d in store.documents()] == [1, 2, 3, 4, 5]
+
+    def test_lines_match_json_dumps(self, tmp_path, engine):
+        # The render line and the store line of each golden sentence are
+        # json.dumps of the same record, byte for byte.
+        path = tmp_path / "corpus.jsonl"
+        records = []
+        with CorpusStore(path) as st:
+            for text, _ in GOLDEN:
+                doc = engine.tag_text(text)
+                entities = [entity_to_dict(e) for e in doc.entities]
+                record = {"text": doc.source, "entities": entities}
+                assert render(doc, "jsonl") == json.dumps(record, ensure_ascii=False)
+                doc_id = st.append(doc)
+                records.append({"id": doc_id, **record})
+        assert path.read_text("utf-8") == "".join(
+            json.dumps(r, ensure_ascii=False) + "\n" for r in records)
 
     def test_reopen_preserves_everything(self, tmp_path, engine):
         path = tmp_path / "corpus.jsonl"

@@ -26,7 +26,7 @@ from sindhi_ner.pipeline import (
     select_proposals,
 )
 from sindhi_ner.rules import DIRECT_LABELS, Proposal, RuleId, TagLabel, sort_key
-from sindhi_ner.text import NUMBER, WORD, tokenize
+from sindhi_ner.text import NUMBER, WORD, normalize_whitespace, tokenize
 
 
 def write_config(tmp_path, extra_gazetteer=None, extra_lines=()):
@@ -555,6 +555,67 @@ def test_collect_matches_reference(engines, data):
     stream = tokenize(" ".join(words), engine.config.edge_specials)
     assert sorted(_collect(engine, stream), key=sort_key) == \
         sorted(collect_reference(engine, stream), key=sort_key)
+
+
+# Words that open no scan gate in any of the ``engines`` variants.
+FILLER = ["هو", "گهر", "ويو", "آيو", "ته", "پر", "اهو", "ڪم", "۽", "،"]
+
+
+def assert_collect_matches_reference(engine, text):
+    stream = tokenize(normalize_whitespace(text), engine.config.edge_specials)
+    got = _collect(engine, stream)
+    assert sorted(got, key=sort_key) == \
+        sorted(collect_reference(engine, stream), key=sort_key), text
+    return got
+
+
+def test_filler_opens_no_gate(engines):
+    for engine in engines:
+        for word in FILLER:
+            stream = tokenize(word)
+            assert not engine._gates.keys() & set(stream.norms), word
+            assert assert_collect_matches_reference(engine, word) == [], word
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_collect_matches_reference_on_sparse_text(engines, data):
+    # Mostly filler, with at most two words that open a gate: most
+    # documents open no gate or exactly one, so most phases are skipped.
+    words = data.draw(st.lists(st.sampled_from(FILLER), max_size=12))
+    vocabulary = cascade_vocabulary(engines[0])
+    for word in data.draw(st.lists(st.sampled_from(vocabulary), max_size=2)):
+        words.insert(data.draw(st.integers(0, len(words))), word)
+    engine = data.draw(st.sampled_from(engines))
+    assert_collect_matches_reference(engine, " ".join(words))
+
+
+def short_documents(engine):
+    """One- and two-token texts that open one or two gates: every gate
+    norm alone and before the genitive, and every ordered pair of one
+    norm per gate bit, plus shapes that open no norm gate."""
+    gates = engine._gates
+    bits = [1 << k for k in range(max(gates.values()).bit_length())]
+    # Per bit, a norm that carries only that bit if there is one.
+    chosen = [min((n for n in gates if gates[n] & bit),
+                  key=lambda n: (gates[n] != bit, n)) for bit in bits]
+    texts = list(gates) + [f"{n} جي" for n in gates]
+    texts += [f"{a} {b}" for a in chosen for b in chosen]
+    texts += [f"{n} {FILLER[0]}" for n in chosen] + [f"{FILLER[0]} {n}" for n in chosen]
+    texts += ["2016", "10:40", "05.06.2016", "15 جون", "2016 سال", "99:99",
+              "http://a.b", "www.sindhila.org", "x@y.com", "خيرپور",
+              "اسلام‌آباد", "سعيداد", "سعيداد جي", "", " ", " \t\n "]
+    return texts, bits
+
+
+def test_collect_matches_reference_on_short_documents(engines):
+    for engine in engines:
+        texts, bits = short_documents(engine)
+        assert len(bits) == 9  # one bit per gated rule family
+        for text in texts:
+            assert_collect_matches_reference(engine, text)
+            stream = tokenize(normalize_whitespace(text), engine.config.edge_specials)
+            assert resolve_conflicts([], stream) == ()
 
 
 # Sentences where one rule's coverage decides whether another fires.
