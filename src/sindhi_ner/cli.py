@@ -240,9 +240,11 @@ def _gazetteer_add(args, config: EngineConfig) -> int:
         raise DuplicateEntry(
             target, lineno,
             f"duplicate entry {' '.join(words)!r} / {category.value}")
+    # The normalized words, which the loaders and ``check`` accept.
+    entry = f"{' '.join(words)}\t{category.value}\n"
     with open(target, "a", encoding="utf-8") as fh:
-        fh.write(f"{args.surface.strip()}\t{category.value}\n")
-    sys.stdout.write(f"{' '.join(words)}\t{category.value}\n")
+        fh.write(entry)
+    sys.stdout.write(entry)
     return 0
 
 

@@ -1,16 +1,18 @@
 """Tagged-corpus storage, gold-standard loading, and evaluation.
 
 CorpusStore keeps tagged documents in an append-only jsonl file.  In
-memory it holds each record by id and one flat table of every stored
-entity beside its record id, which ``query`` filters; reopening a store
-rebuilds both from disk.  GoldCorpus holds token/label sequences read
-from tab-separated files, and ``evaluate`` re-tags each gold document and
-scores the output token by token.
+memory it holds each record by id, one flat table of every stored entity
+beside its record id, and the table's row numbers per label and per rule,
+which ``query`` reads; reopening a store rebuilds all of them from disk.
+GoldCorpus holds token/label sequences read from tab-separated files, and
+``evaluate`` re-tags each gold document and scores the output token by
+token.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import contains, is_
@@ -27,7 +29,6 @@ from .errors import (
 )
 from .pipeline import (
     JSONL_ENCODER,
-    SPAN_LABEL,
     SPAN_RULE,
     SPAN_SURFACE,
     SPAN_TOKEN_END,
@@ -38,9 +39,13 @@ from .pipeline import (
     entity_from_dict,
     entity_to_dict,
 )
-from .rules import LABEL_BY_VALUE, LABEL_VALUE, RULE_BY_VALUE
+from .rules import LABEL_BY_VALUE, LABEL_VALUE, RULE_BY_VALUE, RuleId, TagLabel
 
 _DOCSTART = "-DOCSTART-"
+
+# One decoder for every store line: ``raw_decode`` plus an end check on the
+# stripped line accepts exactly the lines ``json.loads`` accepts.
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 
 def _narrow(ids, entities, keep):
@@ -64,24 +69,41 @@ class CorpusStore:
 
     Records carry strictly increasing integer ids starting at 1.  The
     file is the source of truth.  In memory the store keeps the records by
-    id and a flat table of every stored entity, in the order the records
-    were loaded or appended, beside each entity's record id; ``query``
-    filters that table.  Both are rebuilt on open.  The file is opened for
-    writing on the first append, so a store that is only read never
-    writes; writes are flushed per record.  Records returned by ``get``
-    and ``documents`` are the stored ones and must not be modified.
+    id and a flat table of every stored entity beside its record id:
+    records in the order they were loaded or appended, and each record's
+    entities in stable token-start order, so the table is in (id, start)
+    order.  Beside the table it keeps, per label and per rule, the
+    ascending row numbers of that label's or rule's entities; ``query``
+    reads a label or rule from its rows and needs no sort.  All of it is
+    rebuilt on open.
+
+    A last line without its newline that is not valid UTF-8 or not JSON is
+    a torn write: it is dropped with a warning, and the first append cuts
+    the file back to the end of the last whole record.  Any other damaged
+    line raises CorruptStore.  The file is opened for writing on the
+    first append, so a store that is only read never writes; writes are
+    flushed per record.  Records returned by ``get`` and ``documents``
+    are the stored ones, in the order they were stored, and must not be
+    modified.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._records: Dict[int, StoredDocument] = {}
         self._next_id = 1
-        # Every stored entity in insertion order, and its record's id.
+        # Every stored entity in (id, start) order, and its record's id.
         self._entities: List[EntitySpan] = []
         self._entity_ids: List[int] = []
+        # Row numbers into that table, ascending, per label and per rule.
+        # Every key is present from the start: a setdefault per entity
+        # would allocate a list on every call.
+        self._label_rows: Dict[TagLabel, List[int]] = {label: [] for label in TagLabel}
+        self._rule_rows: Dict[RuleId, List[int]] = {rule: [] for rule in RuleId}
         self._fh = None
         # The file's last record has no newline; the first append writes one.
         self._unterminated = False
+        # Byte offset of a dropped torn tail; the first append cuts it off.
+        self._torn_at: Optional[int] = None
         if self.path.exists():
             self._load()
 
@@ -93,25 +115,41 @@ class CorpusStore:
                 try:
                     line = raw.decode("utf-8").strip()
                     if line:
-                        record = json.loads(line)
+                        record, end = _RAW_DECODE(line)
+                        if end != len(line):
+                            raise ValueError("data after the record")
                         doc_id = record["id"]
                         text = record["text"]
                         entities = [entity_from_dict(d) for d in record["entities"]]
                         if not isinstance(doc_id, int) or doc_id < self._next_id:
                             raise ValueError("record ids must increase")
                 except (ValueError, KeyError, TypeError) as exc:
-                    raise CorruptStore(self.path, offset) from exc
+                    if raw.endswith(b"\n") or not isinstance(
+                            exc, (UnicodeDecodeError, json.JSONDecodeError)):
+                        raise CorruptStore(self.path, offset) from exc
+                    # Only the last line can lack its newline: a torn write.
+                    warnings.warn(f"{self.path}: dropped a torn final record at "
+                                  f"byte offset {offset}", stacklevel=3)
+                    self._torn_at = offset
+                    return
                 if line:
                     self._admit(StoredDocument(doc_id, text, entities))
                 offset += len(raw)
         self._unterminated = bool(raw) and not raw.endswith(b"\n")
 
     def _admit(self, doc: StoredDocument):
+        """Add a record to memory; the only writer of the entity table."""
         self._records[doc.doc_id] = doc
         self._next_id = doc.doc_id + 1
         if doc.entities:
-            self._entities.extend(doc.entities)
-            self._entity_ids.extend(repeat(doc.doc_id, len(doc.entities)))
+            label_rows, rule_rows = self._label_rows, self._rule_rows
+            # Stable, and one linear pass over the tagger's ordered output.
+            entities = sorted(doc.entities, key=SPAN_TOKEN_START)
+            for row, entity in enumerate(entities, len(self._entities)):
+                label_rows[entity.label].append(row)
+                rule_rows[entity.rule].append(row)
+            self._entities.extend(entities)
+            self._entity_ids.extend(repeat(doc.doc_id, len(entities)))
 
     def append(self, tagged: TaggedDocument) -> int:
         """Store one tagged document; returns its assigned id."""
@@ -121,6 +159,9 @@ class CorpusStore:
              "entities": [entity_to_dict(e) for e in doc.entities]})
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
+            if self._torn_at is not None:
+                self._fh.truncate(self._torn_at)
+                self._torn_at = None
         if self._unterminated:
             line = "\n" + line
         self._fh.write(line + "\n")
@@ -146,7 +187,8 @@ class CorpusStore:
 
         ``label`` matches exactly, ``surface`` is a casefolded substring
         test, ``rule`` matches the producing rule's name exactly.  A label
-        or rule that names no member matches nothing.
+        or rule that names no member matches nothing.  Entities of one
+        record that start together keep their stored order.
         """
         if label is not None:
             label = LABEL_BY_VALUE.get(label)
@@ -156,26 +198,24 @@ class CorpusStore:
             rule = RULE_BY_VALUE.get(rule)
             if rule is None:
                 return []
-        # Each filter narrows the table in turn, so the later tests, the
-        # casefolded surface above all, run only on the rows kept so far.
+        # A label, or else a rule, selects its rows; the rows ascend, so
+        # the hits stay in table order.  The later tests, the casefolded
+        # surface above all, run only on the rows kept so far.
         ids, entities = self._entity_ids, self._entities
-        if label is not None:
-            ids, entities = _narrow(
-                ids, entities, map(is_, map(SPAN_LABEL, entities), repeat(label)))
-        if rule is not None:
+        if label is not None or rule is not None:
+            rows = self._label_rows[label] if label is not None else self._rule_rows[rule]
+            ids = list(map(ids.__getitem__, rows))
+            entities = list(map(entities.__getitem__, rows))
+        if label is not None and rule is not None:
             ids, entities = _narrow(
                 ids, entities, map(is_, map(SPAN_RULE, entities), repeat(rule)))
         if surface is not None:
             folded = map(str.casefold, map(SPAN_SURFACE, entities))
             ids, entities = _narrow(
                 ids, entities, map(contains, folded, repeat(surface.casefold())))
-        out = list(zip(
+        return list(zip(
             zip(ids, map(SPAN_TOKEN_START, entities), map(SPAN_TOKEN_END, entities)),
             entities))
-        # The table holds records in id order, so only a hand-edited record
-        # whose entities are out of start order needs this stable sort.
-        out.sort(key=lambda item: (item[0][0], item[0][1]))
-        return out
 
     def close(self):
         if self._fh is not None:
@@ -232,8 +272,14 @@ def load_gold(path) -> GoldCorpus:
             tokens.clear()
             labels.clear()
 
-    with open(path, encoding="utf-8-sig") as fh:
+    # Invalid bytes decode to lone surrogates, which valid UTF-8 never
+    # yields, so the strict encode finds the first bad line.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedLine(path, lineno, "not valid UTF-8") from None
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip():
                 flush()

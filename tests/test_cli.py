@@ -14,6 +14,7 @@ import pytest
 import sindhi_ner
 from sindhi_ner.cli import CONFIG_ENV_VAR, main
 from sindhi_ner.corpus import CorpusStore
+from sindhi_ner.gazetteer import Category, load_gazetteer
 from sindhi_ner.pipeline import DATA_DIR, DEFAULT_CONFIG_PATH
 
 from test_pipeline import write_config
@@ -217,6 +218,15 @@ class TestEval:
     def test_gold_required(self, capsys):
         assert main(["eval"]) == 2
 
+    def test_invalid_utf8_gold(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes("اويس\tPERSON\n".encode("utf-8") + b"ab\xff\tO\n")
+        assert main(["eval", "--gold", str(gold)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == \
+            f"error:malformed-line: {gold}:2: not valid UTF-8"
+
 
 class TestQuery:
     @pytest.fixture()
@@ -311,6 +321,17 @@ class TestGazetteer:
         assert capsys.readouterr().out == "نئون شهر\tLocation\n"
         assert target.read_text("utf-8") == "نئون شهر\tLocation\n"
 
+    def test_add_writes_normalized_entry(self, tmp_path, capsys):
+        target = tmp_path / "f.tsv"
+        assert main(["gazetteer", "add", "a\tb", "Location",
+                     "--file", str(target)]) == 0
+        assert target.read_text("utf-8") == "a b\tLocation\n"
+        assert capsys.readouterr().out == "a b\tLocation\n"
+        assert main(["gazetteer", "check", "--gazetteer", str(target)]) == 0
+        assert capsys.readouterr().out == "OK\n"
+        entries = load_gazetteer([target]).entries()
+        assert [(e.words, e.category) for e in entries] == [(("a", "b"), Category.Location)]
+
     def test_add_refuses_duplicate_in_target(self, tmp_path, capsys):
         target = tmp_path / "extra.tsv"
         main(["gazetteer", "add", "نئون شهر", "Location",
@@ -366,11 +387,14 @@ class TestErrorPrefixInvariant:
     def test_every_failure_prefixes_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff")
+        bad_gold = tmp_path / "bad_gold.tsv"
+        bad_gold.write_bytes(b"ab\xff\tO\n")
         failing = [
             ["tag", str(tmp_path / "ghost.txt")],
             ["tag", "--config", str(tmp_path / "ghost.conf")],
             ["tag", str(bad)],
             ["eval", "--gold", str(tmp_path / "ghost.tsv")],
+            ["eval", "--gold", str(bad_gold)],
             ["query", "--store", str(tmp_path / "ghost.jsonl")],
             ["gazetteer", "add", "اويس", "Nope",
              "--file", str(tmp_path / "x.tsv")],

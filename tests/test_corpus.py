@@ -3,6 +3,7 @@
 import itertools
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from sindhi_ner.errors import (
     UnknownLabel,
 )
 from sindhi_ner.pipeline import DATA_DIR, entity_to_dict, render
+from sindhi_ner.rules import RuleId, TagLabel
 
 from test_acceptance import GOLDEN
 
@@ -303,11 +305,154 @@ class TestStore:
             assert st.query(label="PERSON")
         assert path.read_bytes() == content
 
+    def test_label_and_rule_queries_on_mixed_store_match_linear_scan(
+            self, tmp_path, engine):
+        # Records loaded from disk, hand-edited ones whose entities are out
+        # of start order, and records appended in this session.
+        path = tmp_path / "corpus.jsonl"
+        write_hand_edited_store(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": 12, "text": "p q r s t", "entities": [
+                entity_dict(4, 5, "LOCATION", "R_GazetteerDirect", "t"),
+                entity_dict(2, 3, "PERSON", "R3_GazetteerName", "r"),
+                entity_dict(0, 2, "LOCATION", "R2_Suffix", "p q"),
+                entity_dict(2, 3, "LOCATION", "R_GazetteerDirect", "r"),
+            ]}, ensure_ascii=False) + "\n")
+        with CorpusStore(path) as st:
+            for text in SAMPLES:
+                st.append(engine.tag_text(text))
+        filters = [dict(label=label.value) for label in TagLabel]
+        filters += [dict(rule=rule.value) for rule in RuleId]
+        filters += [dict(label=label.value, rule=rule.value)
+                    for label in TagLabel for rule in RuleId]
+        filters += [dict(label="LOCATION", rule="R_GazetteerDirect", surface="R")]
 
-# One step of a store's life: append one of SAMPLES, reopen, or strip the
-# file's final newline and reopen.
+        def check(st):
+            for f in filters:
+                assert st.query(**f) == linear_scan(st, **f), f
+
+        with CorpusStore(path) as st:
+            for text in SAMPLES:
+                st.append(engine.tag_text(text))
+            assert [d.doc_id for d in st.documents()] == [1, 5, 9, 12] + list(range(13, 23))
+            assert [loc for loc, _ in st.query(label="LOCATION") if loc[0] == 12] == [
+                (12, 0, 2), (12, 2, 3), (12, 4, 5)]
+            check(st)
+            before = [st.query(**f) for f in filters]
+        with CorpusStore(path) as st:
+            assert [st.query(**f) for f in filters] == before
+            check(st)
+
+    @pytest.mark.parametrize("tail", [b" x", b"{}"])
+    def test_record_with_trailing_data_is_corrupt(self, tmp_path, engine, tail):
+        path = tmp_path / "corpus.jsonl"
+        with CorpusStore(path) as st:
+            st.append(engine.tag_text(SAMPLES[0]))
+            st.append(engine.tag_text(SAMPLES[1]))
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + second[:-1] + tail + b"\n")
+        with pytest.raises(CorruptStore) as err:
+            CorpusStore(path)
+        assert err.value.byte_offset == len(first)
+
+
+def tear(path, cut):
+    """Cut the last ``cut`` bytes of the file; returns the torn line's offset."""
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut])
+    return data.rstrip(b"\n").rfind(b"\n") + 1
+
+
+def two_record_store(path, engine):
+    with CorpusStore(path) as st:
+        st.append(engine.tag_text(SAMPLES[0]))
+        st.append(engine.tag_text(SAMPLES[1]))
+
+
+class TestTornTail:
+    def test_cut_of_ten_bytes_drops_last_record(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        two_record_store(path, engine)
+        offset = tear(path, 10)
+        with pytest.warns(UserWarning, match=f"torn final record at byte offset {offset}$"):
+            st = CorpusStore(path)
+        assert [d.doc_id for d in st.documents()] == [1]
+        assert st.query() == linear_scan(st)
+        assert st.query(label="LOCATION") == []
+
+    def test_cut_mid_character_drops_last_record(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        two_record_store(path, engine)
+        data = path.read_bytes()
+        # The last two-byte character of the record's text, cut after its
+        # first byte.
+        text_end = data.rindex(SAMPLES[1].encode("utf-8")) + len(SAMPLES[1].encode("utf-8"))
+        path.write_bytes(data[:text_end - 1])
+        with pytest.raises(UnicodeDecodeError):
+            path.read_bytes().decode("utf-8")
+        with pytest.warns(UserWarning, match="torn final record"):
+            st = CorpusStore(path)
+        assert len(st) == 1
+        assert st.get(1).text == SAMPLES[0]
+
+    def test_append_after_torn_tail_truncates_it(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        two_record_store(path, engine)
+        first = path.read_bytes().splitlines(keepends=True)[0]
+        tear(path, 10)
+        with pytest.warns(UserWarning):
+            st = CorpusStore(path)
+        with st:
+            assert st.append(engine.tag_text(SAMPLES[2])) == 2
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 2 and lines[0] == first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with CorpusStore(path) as st:
+                assert [d.text for d in st.documents()] == [SAMPLES[0], SAMPLES[2]]
+                assert_queries_match_scan(st)
+
+    def test_read_only_open_leaves_torn_file_unchanged(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        two_record_store(path, engine)
+        tear(path, 10)
+        content = path.read_bytes()
+        with pytest.warns(UserWarning):
+            with CorpusStore(path) as st:
+                st.query(label="PERSON")
+                list(st.documents())
+        assert path.read_bytes() == content
+
+    @pytest.mark.parametrize("damage", ["repeated id", "trailing data"])
+    def test_parsed_unterminated_last_line_stays_corrupt(self, tmp_path, engine, damage):
+        # Only a line that fails to decode or to parse can be a torn write.
+        path = tmp_path / "corpus.jsonl"
+        with CorpusStore(path) as st:
+            st.append(engine.tag_text(SAMPLES[0]))
+        first = path.read_bytes()
+        last = first.rstrip(b"\n") + (b"" if damage == "repeated id" else b" x")
+        path.write_bytes(first + last)
+        with pytest.raises(CorruptStore) as err:
+            CorpusStore(path)
+        assert err.value.byte_offset == len(first)
+
+    def test_damaged_terminated_last_line_stays_corrupt(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        two_record_store(path, engine)
+        data = path.read_bytes()
+        path.write_bytes(data[:-11] + b"\n")
+        with pytest.raises(CorruptStore) as err:
+            CorpusStore(path)
+        assert err.value.byte_offset == data.rstrip(b"\n").rfind(b"\n") + 1
+
+
+# One step of a store's life: append one of SAMPLES, reopen, strip the
+# file's final newline and reopen, or cut 2-40 bytes off the file's end
+# (a torn last write, mid-character when the cut lands inside one) and
+# reopen.
 _STORE_OPS = st.one_of(st.sampled_from(range(len(SAMPLES))),
-                       st.sampled_from(("reopen", "unterminate")))
+                       st.sampled_from(("reopen", "unterminate")),
+                       st.tuples(st.just("tear"), st.integers(2, 40)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,18 +462,32 @@ def test_appends_and_reopens_preserve_records(engine, ops):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         expected = []
+        torn = False  # the file ends in a torn record
         store = CorpusStore(path)
         try:
             for op in ops:
                 if op == "unterminate" and path.exists():
                     path.write_bytes(path.read_bytes().rstrip(b"\n"))
-                if op in ("reopen", "unterminate"):
-                    store.close()
-                    store = CorpusStore(path)
-                else:
+                if isinstance(op, tuple) and path.exists():
+                    data = path.read_bytes()
+                    body = data[:-1] if data.endswith(b"\n") else data
+                    start = body.rfind(b"\n") + 1
+                    # At least one byte of the last line stays.
+                    path.write_bytes(body[:max(start + 1, len(body) - op[1])])
+                    if not torn:
+                        expected.pop()
+                        torn = True
+                if isinstance(op, int):
                     doc = tagged[op]
                     assert store.append(doc) == len(expected) + 1
                     expected.append((doc.source, list(doc.entities)))
+                    torn = False
+                else:
+                    store.close()
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        store = CorpusStore(path)
+                    assert len(caught) == torn
                 assert [(d.doc_id, d.text, d.entities) for d in store.documents()] \
                     == [(i, text, ents) for i, (text, ents) in enumerate(expected, 1)]
                 assert_queries_match_scan(store)

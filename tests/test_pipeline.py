@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sindhi_ner.corpus import load_gold
-from sindhi_ner.errors import ConfigError, MissingDataFile, UnknownFormat
-from sindhi_ner.gazetteer import Category, lookup_longest
+from sindhi_ner.errors import ConfigError, MalformedLine, MissingDataFile, UnknownFormat
+from sindhi_ner.gazetteer import Category, _normalize_words, lookup_longest
 from sindhi_ner.pipeline import (
     DATA_DIR,
     DEFAULT_CONFIG_PATH,
@@ -27,6 +29,8 @@ from sindhi_ner.pipeline import (
 )
 from sindhi_ner.rules import DIRECT_LABELS, Proposal, RuleId, TagLabel, sort_key
 from sindhi_ner.text import NUMBER, WORD, normalize_whitespace, tokenize
+
+from test_acceptance import GOLDEN
 
 
 def write_config(tmp_path, extra_gazetteer=None, extra_lines=()):
@@ -255,6 +259,57 @@ class TestMonotonicity:
         got = [(e.label, e.token_start) for e in
                augmented.tag_text(text).entities]
         assert (TagLabel.URL, 1) in got
+
+    def test_added_entry_can_shorten_a_person_span(self, engine, tmp_path):
+        # The README's rule section: a direct match inside a longer, weaker
+        # span wins, and the rest of that span is left untagged.
+        text = "اويس جمائي ڪراچي ويو"
+        assert render(engine.tag_text(text), "inline") == \
+            "<PERSON>اويس جمائي</PERSON> <LOCATION>ڪراچي</LOCATION> ويو"
+        extra = tmp_path / "extra.tsv"
+        extra.write_text("جمائي\tLocation\n", "utf-8")
+        augmented = build_engine(load_config(write_config(
+            tmp_path, extra_gazetteer=extra)))
+        assert render(augmented.tag_text(text), "inline") == \
+            "اويس <LOCATION>جمائي</LOCATION> <LOCATION>ڪراچي</LOCATION> ويو"
+
+
+# The golden sentences and the documents of the bundled gold corpus.
+COVERAGE_TEXTS = [text for text, _ in GOLDEN if text] + [
+    " ".join(doc.tokens) for doc in load_gold(DATA_DIR / "mini_gold.tsv").documents]
+
+_SHAPED = (TagLabel.DATE, TagLabel.TIME, TagLabel.URL, TagLabel.EMAIL)
+
+
+def shaped_spans(doc):
+    return {(e.token_start, e.token_end, e.label)
+            for e in doc.entities if e.label in _SHAPED}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_added_entry_keeps_date_time_url_email_spans(engine, data):
+    # With the default priorities, one more gazetteer entry of any category,
+    # made of one to three adjacent words of the text, removes no date,
+    # time, URL or email span.
+    text = data.draw(st.sampled_from(COVERAGE_TEXTS))
+    before = engine.tag_text(text)
+    surfaces = before.tokens.surfaces
+    start = data.draw(st.integers(0, len(surfaces) - 1))
+    stop = data.draw(st.integers(start + 1, min(start + 3, len(surfaces))))
+    category = data.draw(st.sampled_from(list(Category)))
+    surface = " ".join(surfaces[start:stop])
+    try:
+        words = _normalize_words("entry", 1, surface)
+    except MalformedLine:
+        assume(False)
+    assume(not engine.gaz.contains(words, category))
+    with tempfile.TemporaryDirectory() as tmp:
+        extra = Path(tmp) / "extra.tsv"
+        extra.write_text(f"{surface}\t{category.value}\n", "utf-8")
+        config = EngineConfig.default()
+        augmented = build_engine(config.with_gazetteers([*config.gazetteers, extra]))
+    assert shaped_spans(before) <= shaped_spans(augmented.tag_text(text))
 
 
 class TestResolveConflicts:
