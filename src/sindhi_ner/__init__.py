@@ -35,6 +35,7 @@ from .errors import (
     MissingDataFile,
     NerError,
     TokenizationMismatch,
+    TornRecordWarning,
     UnknownCategory,
     UnknownFormat,
     UnknownLabel,
@@ -93,6 +94,7 @@ __all__ = [
     "Token",
     "TokenStream",
     "TokenizationMismatch",
+    "TornRecordWarning",
     "UnknownCategory",
     "UnknownFormat",
     "UnknownLabel",

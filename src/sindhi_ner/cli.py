@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -24,6 +25,7 @@ from .errors import (
     InvalidInput,
     MissingDataFile,
     NerError,
+    TornRecordWarning,
     UnknownCategory,
 )
 from .gazetteer import (
@@ -33,6 +35,7 @@ from .gazetteer import (
     STOPWORD,
     gazetteer_stats,
     load_gazetteer,
+    read_lines,
     validate_sources,
     _normalize_words,
 )
@@ -135,6 +138,19 @@ def _read_input(name: str) -> str:
             f"{where}: not valid UTF-8 at byte offset {exc.start}") from None
 
 
+def _open_store(path) -> CorpusStore:
+    """Open a store, printing a dropped torn tail as one warning line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TornRecordWarning)
+        store = CorpusStore(path)
+    for w in caught:
+        if issubclass(w.category, TornRecordWarning):
+            print(f"warning:{TornRecordWarning.code}: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return store
+
+
 def _cmd_tag(args) -> int:
     engine = build_engine(_resolve_config(args))
     texts = [_read_input(name) for name in args.inputs]
@@ -149,7 +165,7 @@ def _cmd_tag(args) -> int:
         sep = "\n\n" if args.format == "tabular" else "\n"
         sys.stdout.write(sep.join(rendered) + "\n")
     if args.store:
-        with CorpusStore(args.store) as store:
+        with _open_store(args.store) as store:
             for doc in docs:
                 if len(doc.tokens):
                     print(store.append(doc), file=sys.stderr)
@@ -182,7 +198,7 @@ def _cmd_query(args) -> int:
     path = Path(args.store)
     if not path.is_file():
         raise MissingDataFile(path)
-    with CorpusStore(path) as store:
+    with _open_store(path) as store:
         rows = store.query(label=args.label, surface=args.surface, rule=args.rule)
     for (doc_id, _, _), entity in rows:
         sys.stdout.write(f"{doc_id}\t{LABEL_VALUE[entity.label]}\t{entity.surface}"
@@ -224,8 +240,7 @@ def _gazetteer_add(args, config: EngineConfig) -> int:
     target = Path(args.file)
     lineno = 1
     if target.exists():
-        with open(target, encoding="utf-8") as fh:
-            lineno += sum(1 for _ in fh)
+        lineno += sum(1 for _ in read_lines(target))
     try:
         category = Category[args.category]
     except KeyError:

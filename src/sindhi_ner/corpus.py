@@ -25,8 +25,10 @@ from .errors import (
     LabelMismatch,
     MalformedLine,
     TokenizationMismatch,
+    TornRecordWarning,
     UnknownLabel,
 )
+from .gazetteer import read_lines
 from .pipeline import (
     JSONL_ENCODER,
     SPAN_RULE,
@@ -129,7 +131,8 @@ class CorpusStore:
                         raise CorruptStore(self.path, offset) from exc
                     # Only the last line can lack its newline: a torn write.
                     warnings.warn(f"{self.path}: dropped a torn final record at "
-                                  f"byte offset {offset}", stacklevel=3)
+                                  f"byte offset {offset}", TornRecordWarning,
+                                  stacklevel=3)
                     self._torn_at = offset
                     return
                 if line:
@@ -272,29 +275,22 @@ def load_gold(path) -> GoldCorpus:
             tokens.clear()
             labels.clear()
 
-    # Invalid bytes decode to lone surrogates, which valid UTF-8 never
-    # yields, so the strict encode finds the first bad line.
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                raise MalformedLine(path, lineno, "not valid UTF-8") from None
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
-            if line.split("\t")[0].strip() == _DOCSTART:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise MalformedLine(
-                    path, lineno, f"expected token<TAB>label, got {line!r}")
-            token, label = parts[0].strip(), parts[1].strip()
-            if label != "O" and label not in LABEL_BY_VALUE:
-                raise UnknownLabel(path, lineno, f"unknown label {label!r}")
-            tokens.append(token)
-            labels.append(label)
+    for lineno, raw in read_lines(path):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            flush()
+            continue
+        if line.split("\t")[0].strip() == _DOCSTART:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            raise MalformedLine(
+                path, lineno, f"expected token<TAB>label, got {line!r}")
+        token, label = parts[0].strip(), parts[1].strip()
+        if label != "O" and label not in LABEL_BY_VALUE:
+            raise UnknownLabel(path, lineno, f"unknown label {label!r}")
+        tokens.append(token)
+        labels.append(label)
     flush()
     if not docs:
         raise EmptyCorpus(f"no documents in {path}")

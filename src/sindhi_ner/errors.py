@@ -2,7 +2,8 @@
 
 Every exception carries a short machine-readable ``code``.  The CLI prints
 ``error:<code>: <details>`` as the first stderr line and exits 1, so scripts
-can branch on the code without parsing prose.
+can branch on the code without parsing prose.  The one warning category
+carries a code too, which the CLI prints as ``warning:<code>: <details>``.
 """
 
 from __future__ import annotations
@@ -79,3 +80,9 @@ class CorruptStore(NerError):
         self.path = str(path)
         self.byte_offset = byte_offset
         super().__init__(f"{self.path}: {message} at byte offset {byte_offset}")
+
+
+class TornRecordWarning(UserWarning):
+    """A store dropped a torn final record on open."""
+
+    code = "torn-record"

@@ -159,17 +159,37 @@ def gazetteer_stats(gaz: Gazetteer) -> Dict[Category, int]:
 # TSV parsing
 # --------------------------------------------------------------------------
 
+def read_lines(path) -> Iterator[Tuple[int, str]]:
+    """(lineno, line) for every line of a UTF-8 text file.
+
+    A leading byte-order mark is dropped.  Raises MalformedLine naming
+    the first line that is not valid UTF-8.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return enumerate(fh.readlines(), 1)
+    except UnicodeDecodeError:
+        # Invalid bytes decode to lone surrogates, which valid UTF-8 never
+        # yields, so the first line that fails a strict encode is the bad one.
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise MalformedLine(path, lineno, "not valid UTF-8") from None
+        raise
+
+
 def _iter_tsv(path) -> Iterator[Tuple[int, str, str]]:
     """Yield (lineno, surface, category) for data lines of a TSV file."""
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise MalformedLine(path, lineno, "expected SURFACE<TAB>CATEGORY")
-            yield lineno, parts[0].strip(), parts[1].strip()
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            raise MalformedLine(path, lineno, "expected SURFACE<TAB>CATEGORY")
+        yield lineno, parts[0].strip(), parts[1].strip()
 
 
 def _normalize_words(path, lineno: int, surface: str) -> Tuple[str, ...]:
@@ -267,12 +287,14 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence) -> List[st
 
     def check_lines(path, handler):
         try:
-            with open(path, encoding="utf-8-sig") as fh:
-                lines = fh.readlines()
+            lines = read_lines(path)
         except OSError as exc:
             problems.append(f"{path}: {exc}")
             return
-        for lineno, raw in enumerate(lines, 1):
+        except MalformedLine as exc:
+            problems.append(str(exc))
+            return
+        for lineno, raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -300,6 +322,8 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence) -> List[st
         return handler
 
     def list_handler_for(path, expected):
+        suffixes: Dict[str, str] = {}  # suffix -> where first seen
+
         def handler(lineno, surface, cat_name):
             allowed = SUFFIX_CATEGORIES if expected is None else (expected,)
             if cat_name not in allowed:
@@ -314,6 +338,14 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence) -> List[st
                 return
             if len(entry) != 1:
                 problems.append(f"{path}:{lineno}: entries must be single words")
+            elif expected is None and cat_name != PERSON_MARKER:
+                # The suffix table's rule, as load_suffix_table applies it.
+                if entry[0] in suffixes:
+                    problems.append(
+                        f"{path}:{lineno}: duplicate suffix {entry[0]!r}"
+                        f" (first seen at {suffixes[entry[0]]})")
+                else:
+                    suffixes[entry[0]] = f"{path}:{lineno}"
         return handler
 
     for path in gazetteer_paths:

@@ -13,6 +13,7 @@ overlap an already accepted span.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -32,6 +33,7 @@ from .gazetteer import (
     load_suffix_table,
     load_word_list,
     lookup_longest,
+    read_lines,
 )
 from .rules import (
     ABBREVIATION_CATEGORIES,
@@ -155,34 +157,33 @@ def load_config(path) -> EngineConfig:
     values: Dict[str, object] = {}
     rule_flags: Dict[RuleId, bool] = {}
     priorities: Dict[RuleId, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key.startswith("rule."):
-                rule_flags[_parse_rule_id(path, lineno, key[5:])] = _parse_flag(
-                    path, lineno, value)
-            elif key.startswith("priority."):
-                try:
-                    priorities[_parse_rule_id(path, lineno, key[9:])] = int(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}:{lineno}: priority must be an integer, got {value!r}"
-                    ) from None
-            elif key == _GAZETTEER_KEYS:
-                values[key] = tuple(
-                    base / p.strip() for p in value.split(",") if p.strip())
-            elif key in _PATH_KEYS:
-                values[key] = base / value if value else None
-            elif key == "edge_specials":
-                values[key] = value or EDGE_SPECIALS
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key.startswith("rule."):
+            rule_flags[_parse_rule_id(path, lineno, key[5:])] = _parse_flag(
+                path, lineno, value)
+        elif key.startswith("priority."):
+            try:
+                priorities[_parse_rule_id(path, lineno, key[9:])] = int(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: priority must be an integer, got {value!r}"
+                ) from None
+        elif key == _GAZETTEER_KEYS:
+            values[key] = tuple(
+                base / p.strip() for p in value.split(",") if p.strip())
+        elif key in _PATH_KEYS:
+            values[key] = base / value if value else None
+        elif key == "edge_specials":
+            values[key] = value or EDGE_SPECIALS
+        else:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     for required in (_GAZETTEER_KEYS, "suffixes", "stopwords", "months", "letters"):
         if not values.get(required):
             raise ConfigError(f"{path}: missing required key {required!r}")
@@ -217,16 +218,15 @@ def _parse_flag(path, lineno, value: str) -> bool:
 
 def _load_synonyms(path) -> Dict[str, str]:
     mapping: Dict[str, str] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected FROM<TAB>TO in synonym map")
-            mapping[parts[0].strip()] = parts[1].strip()
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ConfigError(
+                f"{path}:{lineno}: expected FROM<TAB>TO in synonym map")
+        mapping[parts[0].strip()] = parts[1].strip()
     return mapping
 
 
@@ -306,20 +306,39 @@ def build_engine(config: Optional[EngineConfig] = None) -> Engine:
 # --------------------------------------------------------------------------
 
 def tag_text(engine: Engine, raw: str) -> TaggedDocument:
-    """Normalize, tokenize, run the cascade, and resolve conflicts."""
-    source = normalize_whitespace(raw)
-    stream = tokenize(source, engine.config.edge_specials)
-    syn = engine.synonyms
-    if syn and not syn.keys().isdisjoint(stream.norms):
-        stream = replace(stream, norms=tuple(map(syn.get, stream.norms, stream.norms)))
-    entities = resolve_conflicts(_collect(engine, stream), stream)
-    # Entities are disjoint and ordered by start: the untagged tokens are
-    # the gaps before, between and after them.
-    gap_starts = chain((0,), map(_TOKEN_END, entities))
-    gap_ends = chain(map(_TOKEN_START, entities), (len(stream),))
-    untagged = tuple(chain.from_iterable(map(range, gap_starts, gap_ends)))
-    return TaggedDocument(source=source, tokens=stream,
-                          entities=entities, untagged=untagged)
+    """Normalize, tokenize, run the cascade, and resolve conflicts.
+
+    The cyclic garbage collector, if enabled, is paused for the call on a
+    text of at least ``gc.get_threshold()[0]`` characters: a shorter text
+    cannot allocate a young generation's worth of objects.  A long text
+    makes tens of thousands of proposals and spans, tuples that hold enum
+    members and so stay tracked, and the collector would rescan them many
+    times; they form no reference cycles, so the pause leaves no garbage
+    behind.  Only the call that disabled the collector enables it again,
+    so concurrent calls leave it as they found it.  A thread that disables
+    it while another thread is inside a paused call finds it enabled again
+    once that call returns.
+    """
+    paused = gc.isenabled() and len(raw) >= gc.get_threshold()[0]
+    if paused:
+        gc.disable()
+    try:
+        source = normalize_whitespace(raw)
+        stream = tokenize(source, engine.config.edge_specials)
+        syn = engine.synonyms
+        if syn and not syn.keys().isdisjoint(stream.norms):
+            stream = replace(stream, norms=tuple(map(syn.get, stream.norms, stream.norms)))
+        entities = resolve_conflicts(_collect(engine, stream), stream)
+        # Entities are disjoint and ordered by start: the untagged tokens
+        # are the gaps before, between and after them.
+        gap_starts = chain((0,), map(_TOKEN_END, entities))
+        gap_ends = chain(map(_TOKEN_START, entities), (len(stream),))
+        untagged = tuple(chain.from_iterable(map(range, gap_starts, gap_ends)))
+        return TaggedDocument(source=source, tokens=stream,
+                              entities=entities, untagged=untagged)
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _mark(cover: set, *found: List[Proposal]) -> None:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,29 @@ class TestTag:
             "<TIME>10:40</TIME> تي"]
         assert main(["tag", "--jobs", "4", *names]) == 0
         assert capsys.readouterr().out == serial
+
+    def test_jobs_over_long_inputs_keeps_collector_enabled(self, tmp_path, capsys):
+        # Each input reaches tag_text's collector pause, so the threads
+        # pause and resume it concurrently; a short switch interval
+        # interleaves their checks of the collector's state.
+        names = []
+        for i in range(8):
+            path = tmp_path / f"doc{i}.txt"
+            path.write_text(f"{SENTENCE} {i} ۔ " * gc.get_threshold()[0], encoding="utf-8")
+            names.append(str(path))
+        was, interval = gc.isenabled(), sys.getswitchinterval()
+        gc.enable()
+        try:
+            assert main(["tag", "--format", "jsonl", *names]) == 0
+            serial = capsys.readouterr().out
+            sys.setswitchinterval(1e-5)
+            assert main(["tag", "--format", "jsonl", "--jobs", "4", *names]) == 0
+            assert capsys.readouterr().out == serial
+            assert gc.isenabled()
+        finally:
+            sys.setswitchinterval(interval)
+            if not was:
+                gc.disable()
 
     def test_store_appends_and_prints_ids(self, tmp_path, monkeypatch, capsys):
         store_path = tmp_path / "corpus.jsonl"
@@ -282,6 +306,32 @@ class TestQuery:
     def test_store_required(self, capsys):
         assert main(["query"]) == 2
 
+    def test_torn_tail_warns_in_cli_style(self, store_path, capsys):
+        first_record = len(store_path.read_bytes().splitlines(keepends=True)[0])
+        store_path.write_bytes(store_path.read_bytes()[:-10])
+        assert main(["query", "--store", str(store_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning:torn-record: {store_path}: dropped a torn final record"
+            f" at byte offset {first_record}\n")
+        assert captured.out.splitlines() == [
+            "1\tPERSON\tاويس جمائي\tR3_GazetteerName",
+            "1\tDATE\t05.06.2016\tR1_DateTime",
+            "1\tORGANIZATION\tسنڌ يونيورسٽي\tR10_OrgKeyword"]
+
+    def test_tag_store_torn_tail_warns_in_cli_style(self, store_path,
+                                                    monkeypatch, capsys):
+        first_record = len(store_path.read_bytes().splitlines(keepends=True)[0])
+        store_path.write_bytes(store_path.read_bytes()[:-10])
+        feed_stdin(monkeypatch, SENTENCE)
+        assert main(["tag", "--store", str(store_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == INLINE + "\n"
+        assert captured.err.splitlines() == [
+            f"warning:torn-record: {store_path}: dropped a torn final record"
+            f" at byte offset {first_record}",
+            "2"]
+
 
 class TestGazetteer:
     def test_list_counts_match_files(self, capsys):
@@ -313,6 +363,31 @@ class TestGazetteer:
         assert err_lines[0].startswith("error:invalid-data: ")
         assert len(err_lines) == 1 + int(err_lines[0].split()[1])
         assert any("bad.tsv" in line for line in err_lines[1:])
+
+    def test_check_reports_duplicate_suffix(self, tmp_path, capsys):
+        suffixes = tmp_path / "suffixes.tsv"
+        # A repeated person marker is allowed, a repeated suffix is not.
+        suffixes.write_text((DATA_DIR / "suffixes.tsv").read_text("utf-8")
+                            + "حسن\tPersonMarker\nپور\tTermSuffix\n", "utf-8")
+        config = write_config(tmp_path, extra_lines=[f"suffixes={suffixes}"])
+        assert main(["gazetteer", "check", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error:invalid-data: 1 problem(s) found",
+            f"{suffixes}:13: duplicate suffix 'پور' (first seen at {suffixes}:2)"]
+        # The engine refuses the same file.
+        assert main(["tag", "--config", str(config), "-"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error:duplicate-entry: {suffixes}:13: duplicate suffix 'پور'")
+
+    def test_check_reports_invalid_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"ab\xff\tLocation\n")
+        assert main(["gazetteer", "check", "--gazetteer", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error:invalid-data: 1 problem(s) found",
+            f"{bad}:1: not valid UTF-8"]
 
     def test_add_appends_entry(self, tmp_path, capsys):
         target = tmp_path / "extra.tsv"
@@ -381,6 +456,43 @@ class TestGazetteer:
         feed_stdin(monkeypatch, "هو مرڪزوال ويو")
         assert main(["tag", "--config", str(config)]) == 0
         assert "<LOCATION>مرڪزوال</LOCATION>" in capsys.readouterr().out
+
+
+class TestInvalidUtf8DataFile:
+    @pytest.mark.parametrize("kind, content", [
+        ("gazetteer", b"ab\xff\tLocation\n"),
+        ("months", b"ab\xff\tMonthName\n"),
+        ("synonyms", b"ab\xff\tx\n"),
+        ("config", b"gazetteers=ab\xff\n"),
+    ])
+    def test_malformed_line(self, tmp_path, monkeypatch, capsys, kind, content):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        if kind == "gazetteer":
+            argv = ["tag", "--gazetteer", str(bad)]
+        elif kind == "config":
+            argv = ["tag", "--config", str(bad)]
+        else:
+            argv = ["tag", "--config",
+                    str(write_config(tmp_path, extra_lines=[f"{kind}={bad}"]))]
+        feed_stdin(monkeypatch, SENTENCE)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error:malformed-line: {bad}:1: not valid UTF-8"]
+
+
+def test_readme_test_command_finds_the_package():
+    # From a checkout, with nothing installed and no PYTHONPATH, pytest
+    # must import the package from src/.
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--collect-only",
+         "-p", "no:cacheprovider", "tests/test_text.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestErrorPrefixInvariant:

@@ -1,6 +1,7 @@
 """Engine assembly, tagging, conflict resolution, and rendering."""
 
 import dataclasses
+import gc
 import json
 import tempfile
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sindhi_ner import pipeline
 from sindhi_ner.corpus import load_gold
 from sindhi_ner.errors import ConfigError, MalformedLine, MissingDataFile, UnknownFormat
 from sindhi_ner.gazetteer import Category, _normalize_words, lookup_longest
@@ -692,3 +694,84 @@ def test_collect_matches_reference_on_gold(engines):
             stream = tokenize(text)
             assert sorted(_collect(engine, stream), key=sort_key) == \
                 sorted(collect_reference(engine, stream), key=sort_key)
+
+
+# --------------------------------------------------------------------------
+# The collector pause in tag_text
+# --------------------------------------------------------------------------
+
+@pytest.fixture()
+def collector_enabled():
+    """Start the test with the cyclic collector on; restore its state after."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def megabyte_document() -> str:
+    """The criterion-7 document: the gold sentences repeated to 1 MB."""
+    chunk = " ۔ ".join(" ".join(doc.tokens)
+                       for doc in load_gold(DATA_DIR / "mini_gold.tsv").documents)
+    text = chunk
+    while len(text.encode("utf-8")) < 1_000_000:
+        text += " ۔ " + chunk
+    return text
+
+
+def long_text():
+    """A text long enough to reach the pause's gate."""
+    return "اويس ڪراچي ويو " * gc.get_threshold()[0]
+
+
+class TestCollectorPause:
+    def test_enabled_collector_stays_enabled(self, engine, collector_enabled):
+        engine.tag_text(long_text())
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, engine, collector_enabled):
+        gc.disable()
+        engine.tag_text(long_text())
+        assert not gc.isenabled()
+
+    def test_collector_enabled_after_an_exception(self, engine, monkeypatch,
+                                                  collector_enabled):
+        def fail(engine, stream):
+            assert not gc.isenabled()  # inside the paused region
+            raise RuntimeError("boom")
+        monkeypatch.setattr(pipeline, "_collect", fail)
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.tag_text(long_text())
+        assert gc.isenabled()
+
+    def test_no_collection_while_tagging_the_megabyte(self, engine,
+                                                      collector_enabled):
+        text = megabyte_document()
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            engine.tag_text(text)
+        finally:
+            gc.callbacks.remove(hook)
+        assert started == []
+
+
+def test_tagging_makes_no_reference_cycles(engines, collector_enabled):
+    # The pause is safe because tag_text leaves no cyclic garbage: with
+    # the collector off throughout, a full collection finds nothing.
+    texts = [megabyte_document(), "", "   ", "۔ ۔",
+             "هو 07 جولاءِ 2016 تي 10:40 تي http://nlp.cs.nyu.edu ۽ "
+             "awaisjumani@yahoo.com تي لکي ٿو"]
+    texts += [" ".join(doc.tokens)
+              for doc in load_gold(DATA_DIR / "mini_gold.tsv").documents]
+    gc.disable()
+    gc.collect()
+    for engine in engines:
+        for text in texts:
+            render(engine.tag_text(text), "jsonl")
+    assert gc.collect() == 0
