@@ -47,6 +47,7 @@ from .gazetteer import (
     gazetteer_stats,
     load_gazetteer,
     lookup_longest,
+    validate_sources,
 )
 from .pipeline import (
     Engine,
@@ -114,4 +115,5 @@ __all__ = [
     "store_document",
     "tag_text",
     "tokenize",
+    "validate_sources",
 ]

@@ -224,7 +224,8 @@ def _cmd_gazetteer(args) -> int:
             sys.stdout.write(f"{category.value}\t{stats[category]}\n")
         return 0
     if args.action == "check":
-        problems = validate_sources(config.gazetteers, _word_list_specs(config))
+        problems = validate_sources(config.gazetteers, _word_list_specs(config),
+                                    config.synonyms)
         if problems:
             print(f"error:invalid-data: {len(problems)} problem(s) found",
                   file=sys.stderr)
@@ -289,3 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DuplicateEntry, MalformedLine, UnknownCategory
+from .errors import ConfigError, DuplicateEntry, MalformedLine, UnknownCategory
 from .text import strip_edge_specials
 
 
@@ -274,13 +274,34 @@ def load_suffix_table(path):
     return suffixes, frozenset(markers)
 
 
-def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence) -> List[str]:
+def load_synonyms(path) -> Dict[str, str]:
+    """Load the synonym map: ``variant<TAB>canonical`` per line.
+
+    Raises ConfigError naming the first line that is not two non-empty
+    fields.
+    """
+    mapping: Dict[str, str] = {}
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ConfigError(
+                f"{path}:{lineno}: expected FROM<TAB>TO in synonym map")
+        mapping[parts[0].strip()] = parts[1].strip()
+    return mapping
+
+
+def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence,
+                     synonyms=None) -> List[str]:
     """Check every configured data file, collecting all problems.
 
     ``word_lists`` is a sequence of (path, expected-category or None for the
-    suffix table).  Unlike the loaders, this does not stop at the first bad
-    line; it returns one message per problem so a check command can list
-    them all.
+    suffix table); ``synonyms`` is the synonym map's path, if any.  Unlike
+    the loaders, this does not stop at the first bad line; it returns one
+    message per problem so a check command can list them all.  The
+    synonym map is read by its loader, which stops at its first problem.
     """
     problems: List[str] = []
     seen: Dict[Tuple[Tuple[str, ...], Category], str] = {}
@@ -352,4 +373,11 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence) -> List[st
         check_lines(path, gaz_handler_for(path))
     for path, expected in word_lists:
         check_lines(path, list_handler_for(path, expected))
+    if synonyms is not None:
+        try:
+            load_synonyms(synonyms)
+        except OSError as exc:
+            problems.append(f"{synonyms}: {exc}")
+        except (ConfigError, MalformedLine) as exc:
+            problems.append(str(exc))
     return problems

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import chain, compress, filterfalse, repeat
-from operator import and_, attrgetter, eq, itemgetter, or_, sub
+from itertools import accumulate, chain, compress, filterfalse, repeat
+from operator import add, and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -31,6 +32,7 @@ from .gazetteer import (
     STOPWORD,
     load_gazetteer,
     load_suffix_table,
+    load_synonyms,
     load_word_list,
     lookup_longest,
     read_lines,
@@ -59,8 +61,9 @@ from .text import (
     TokenStream,
     WORD,
     normalize_whitespace,
+    surface_forms,
     token_pattern,
-    tokenize,
+    tokenize,  # noqa: F401 - unused here; bench/spans.py wraps pipeline.tokenize
 )
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -82,6 +85,16 @@ _TOKEN_END = attrgetter("token_end")
 # Scan-gate bits, one per rule that starts only at listed norms.
 (_DIRECT, _TITLE, _SURNAME, _NAME, _LETTER, _AMBIGUOUS, _NUMBER_WORD,
  _ABBREVIATION, _ORG_KEYWORD) = (1 << k for k in range(9))
+# Gate bits that depend on more than norm membership: a number literal
+# (rule 1), a norm shaped like a URL or an email address, and a word
+# whose norm is a person marker or ends in a listed suffix (rule 2).
+_NUMERAL, _SHAPE, _SUFFIX = (1 << k for k in range(9, 12))
+
+# The URL/email gate: a norm holding "://" or "@", or starting "www.".
+_SHAPED = re.compile(r"^www\.|://|@")
+
+# Surfaces the engine's memo holds before it is cleared.
+_MEMO_CAP = 1 << 15
 
 _GAZETTEER_KEYS = "gazetteers"
 _PATH_KEYS = ("suffixes", "stopwords", "months", "letters", "synonyms")
@@ -216,22 +229,19 @@ def _parse_flag(path, lineno, value: str) -> bool:
     raise ConfigError(f"{path}:{lineno}: expected on/off, got {value!r}")
 
 
-def _load_synonyms(path) -> Dict[str, str]:
-    mapping: Dict[str, str] = {}
-    for lineno, raw in read_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ConfigError(
-                f"{path}:{lineno}: expected FROM<TAB>TO in synonym map")
-        mapping[parts[0].strip()] = parts[1].strip()
-    return mapping
-
-
 class Engine:
-    """Immutable tagging engine: config, gazetteer, rules, synonym map."""
+    """Immutable tagging engine: config, gazetteer, rules, synonym map.
+
+    A private memo maps each token surface the engine has tagged to its
+    byte size, norm (synonyms applied), kind and gate bits.  It is filled
+    while tagging, never when the engine is built, and cleared once it
+    holds more than ``_MEMO_CAP`` surfaces.  A text whose surfaces are
+    mostly new adds them only while the memo is under half full, so text
+    that never repeats a surface does not keep refilling it.  Entries
+    depend on the surface alone: the memo changes no output, and threads
+    may share an engine, since each reads and writes the memo with single
+    dict calls.
+    """
 
     def __init__(self, config: EngineConfig, gaz: Gazetteer, rules: RuleSet,
                  synonyms: Mapping[str, str]):
@@ -259,8 +269,13 @@ class Engine:
         for bit, norms in gate_sets:
             for norm in norms:
                 self._gates[norm] = self._gates.get(norm, 0) | bit
-        # Compile the token pattern now, not on the first tagged text.
-        token_pattern(config.edge_specials)
+        self._split = token_pattern(config.edge_specials).split
+        # A newline-joined text of norms holds one of these exactly when
+        # one of its norms is a person marker or ends in a suffix.
+        self._suffix_probes = tuple(
+            [f"{suffix}\n" for suffix in rules.suffix_endings]
+            + [f"\n{marker}\n" for marker in rules.person_markers])
+        self._memo: Dict[str, Tuple[int, str, str, int]] = {}
 
     @property
     def enabled_rules(self) -> Tuple[RuleId, ...]:
@@ -268,6 +283,71 @@ class Engine:
 
     def tag_text(self, raw: str) -> TaggedDocument:
         return tag_text(self, raw)
+
+    def _tokens(self, source: str) -> Tuple[TokenStream, Sequence[int]]:
+        """The token stream of whitespace-normalized ``source``, and the
+        gate bits of each token.
+
+        The stream equals ``tokenize(source, edge_specials)`` with the
+        synonym map applied to its norms.  Each token costs one memo
+        lookup, and the surfaces the memo lacks are classified in one
+        batch and added to it.  A text that lacks at least half of its
+        surfaces is classified whole, as ``tokenize`` does, and adds them
+        only while the memo is under half full.
+        """
+        parts = self._split(source)   # [spaces, token, spaces, ..., spaces]
+        surfaces = tuple(parts[1::2])
+        memo = self._memo
+        entries = list(map(memo.get, surfaces))
+        misses = entries.count(None)
+        if misses * 2 >= len(entries):
+            sizes, norms, kinds, bits = self._classify(surfaces)
+            if len(memo) * 2 < _MEMO_CAP:
+                memo.update(zip(surfaces, zip(sizes, norms, kinds, bits)))
+            norms, kinds = tuple(norms), tuple(kinds)
+        else:
+            if misses:
+                fresh = list(compress(surfaces, map(is_, entries, repeat(None))))
+                learned = dict(zip(fresh, zip(*self._classify(fresh))))
+                # The new entries are read from ``learned``: another
+                # thread may clear the memo at any time.
+                entries = list(map(learned.get, surfaces, entries))
+                memo.update(learned)
+            sizes, norms, kinds, bits = zip(*entries)
+        if len(memo) > _MEMO_CAP:
+            memo.clear()
+        ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
+        stream = TokenStream(source=source, surfaces=surfaces,
+                             starts=tuple(map(sub, ends, sizes)), ends=ends,
+                             norms=norms, kinds=kinds)
+        return stream, bits
+
+    def _classify(self, surfaces: Sequence[str]):
+        """The byte sizes, norms, kinds and gate bits of ``surfaces``, as
+        four lists."""
+        norms, kinds = surface_forms(surfaces, self.config.edge_specials)
+        syn = self.synonyms
+        if syn and not syn.keys().isdisjoint(norms):
+            norms = list(map(syn.get, norms, norms))
+        bits = list(map(self._gates.get, norms, repeat(0)))
+        positions = range(len(norms))
+        if NUMBER in kinds:
+            for i in compress(positions, map(eq, kinds, repeat(NUMBER))):
+                bits[i] |= _NUMERAL
+        # No norm holds a newline, so a search of the norms joined by
+        # newlines tells whether any norm can carry a bit below; in most
+        # texts none can.
+        joined = "\n%s\n" % "\n".join(norms)
+        if "://" in joined or "@" in joined or "\nwww." in joined:
+            for i in compress(positions, map(_SHAPED.search, norms)):
+                bits[i] |= _SHAPE
+        if any(map(joined.__contains__, self._suffix_probes)):
+            markers, endings = self.rules.person_markers, self.rules.suffix_endings
+            for i in compress(positions, map(or_, map(markers.__contains__, norms),
+                                             map(str.endswith, norms, repeat(endings)))):
+                if kinds[i] == WORD:
+                    bits[i] |= _SUFFIX
+        return list(map(len, map(str.encode, surfaces))), norms, kinds, bits
 
 
 def build_engine(config: Optional[EngineConfig] = None) -> Engine:
@@ -297,7 +377,7 @@ def build_engine(config: Optional[EngineConfig] = None) -> Engine:
         person_markers=markers,
         priorities={**DEFAULT_PRIORITIES, **config.priorities},
     )
-    synonyms = _load_synonyms(config.synonyms) if config.synonyms else {}
+    synonyms = load_synonyms(config.synonyms) if config.synonyms else {}
     return Engine(config, gaz, rules, synonyms)
 
 
@@ -324,11 +404,8 @@ def tag_text(engine: Engine, raw: str) -> TaggedDocument:
         gc.disable()
     try:
         source = normalize_whitespace(raw)
-        stream = tokenize(source, engine.config.edge_specials)
-        syn = engine.synonyms
-        if syn and not syn.keys().isdisjoint(stream.norms):
-            stream = replace(stream, norms=tuple(map(syn.get, stream.norms, stream.norms)))
-        entities = resolve_conflicts(_collect(engine, stream), stream)
+        stream, bits = engine._tokens(source)
+        entities = resolve_conflicts(_collect(engine, stream, bits), stream)
         # Entities are disjoint and ordered by start: the untagged tokens
         # are the gaps before, between and after them.
         gap_starts = chain((0,), map(_TOKEN_END, entities))
@@ -349,7 +426,8 @@ def _mark(cover: set, *found: List[Proposal]) -> None:
                 map(range, map(_START, proposals), map(_END, proposals))))
 
 
-def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
+def _collect(engine: Engine, stream: TokenStream,
+             bits: Sequence[int]) -> List[Proposal]:
     """Run every enabled rule over the stream in cascade order.
 
     Order matters only through the coverage gates: the suffix rule skips
@@ -358,28 +436,32 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
     the org-keyword rule sees everything claimed so far.  Direct gazetteer
     matches additionally never override date/time/URL/email shapes.
 
-    Each rule visits only the positions its scan gate admits.  One pass
-    over the norms finds the positions any gate admits, and the OR of
-    their gate bits is the presence mask: a rule whose bit is absent from
-    it cannot fire, so its phase is skipped.  Each remaining rule filters
-    the candidates by its own bit.  Rule 1 runs only when the stream holds
-    a number literal, and the URL/email and suffix rules only when some
-    distinct norm passes their gate.
+    Each rule visits only the positions its scan gate admits.  ``bits``
+    holds the gate bits of each token (``Engine._tokens``); the positions
+    with any bit are the candidates, and the OR of their bits is the
+    presence mask: a rule whose bit is absent from it cannot fire, so its
+    phase is skipped.  Each remaining rule filters the candidates by its
+    own bit.  The letter-name rules also read the next token's bits: an
+    initial is followed by a letter name or a surname, and a letter-name
+    abbreviation by a letter name.
     """
     rules = engine.rules
     enabled = engine.enabled
     gaz = engine.gaz
-    norms = stream.norms
-    positions = range(len(norms))
-    distinct = set(norms)
-    gates = engine._gates
-    candidates = list(compress(positions, map(gates.__contains__, norms)))
-    bits = list(map(gates.__getitem__, map(norms.__getitem__, candidates)))
-    present = reduce(or_, bits, 0)
+    candidates = list(compress(range(len(bits)), bits))
+    cbits = list(filter(None, bits))
+    present = reduce(or_, cbits, 0)
+    follow = ()   # the bits of the token after each candidate
+    if present & _LETTER:
+        follow = list(map([*bits[1:], 0].__getitem__, candidates))
 
-    def at(gate: int):
-        """Positions whose norm carries ``gate``, in text order."""
-        return compress(candidates, map(and_, bits, repeat(gate)))
+    def at(gate: int, then: int = 0):
+        """Positions whose token carries ``gate``, in text order; given
+        ``then``, only those whose next token carries a bit of it."""
+        flags = map(and_, cbits, repeat(gate))
+        if then:
+            flags = map(mul, flags, map(and_, follow, repeat(then)))
+        return compress(candidates, flags)
 
     def scan(match, where) -> List[Proposal]:
         """The proposals ``match`` makes at the positions in ``where``."""
@@ -390,18 +472,10 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
 
     dates = links = direct = titles = surnames = suffixed = names = ()
     initials = ambiguous = numbers = abbreviations = orgs = ()
-    if enabled[RuleId.R1_DateTime] and NUMBER in stream.kinds:
-        numeric = map(eq, stream.kinds, repeat(NUMBER))
-        dates = scan(rules.match_datetime, compress(positions, numeric))
-    if enabled[RuleId.R_UrlEmail]:
-        # A norm is its surface lowercased, or empty for edge punctuation,
-        # which match_url_email rejects; so the gate, like the suffix gate
-        # below, is tested once per distinct norm.
-        shaped = {n for n in distinct
-                  if "://" in n or "@" in n or n.startswith("www.")}
-        if shaped:
-            links = scan(rules.match_url_email,
-                         compress(positions, map(shaped.__contains__, norms)))
+    if enabled[RuleId.R1_DateTime] and present & _NUMERAL:
+        dates = scan(rules.match_datetime, at(_NUMERAL))
+    if enabled[RuleId.R_UrlEmail] and present & _SHAPE:
+        links = scan(rules.match_url_email, at(_SHAPE))
     _mark(covered, dates, links)
     _mark(blocked, dates)
 
@@ -427,22 +501,13 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
     _mark(covered, direct, titles, surnames)
     _mark(blocked, titles, surnames)
 
-    if enabled[RuleId.R2_Suffix]:
-        endings, markers = rules.suffix_endings, rules.person_markers
-        # The gate depends on the norm alone, so each distinct norm is
-        # tested once.
-        gate = {n for n in distinct if n in markers or n.endswith(endings)}
-        if gate:
-            pri = rules.priorities[RuleId.R2_Suffix]
-            kinds = stream.kinds
-            suffixed = []
-            for i in filterfalse(covered.__contains__,
-                                 compress(positions, map(gate.__contains__, norms))):
-                if kinds[i] != WORD:
-                    continue
-                hit = rules.match_suffix(stream[i])
-                if hit is not None:
-                    suffixed.append(Proposal(i, i + 1, hit[0], RuleId.R2_Suffix, pri))
+    if enabled[RuleId.R2_Suffix] and present & _SUFFIX:
+        pri = rules.priorities[RuleId.R2_Suffix]
+        suffixed = []
+        for i in filterfalse(covered.__contains__, at(_SUFFIX)):
+            hit = rules.match_suffix(stream[i])
+            if hit is not None:
+                suffixed.append(Proposal(i, i + 1, hit[0], RuleId.R2_Suffix, pri))
 
     if enabled[RuleId.R3_GazetteerName] and present & _NAME:
         pri = rules.priorities[RuleId.R3_GazetteerName]
@@ -453,8 +518,8 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
                 names.append(Proposal(i, i + hit[1], TagLabel.PERSON,
                                       RuleId.R3_GazetteerName, pri))
 
-    if enabled[RuleId.R8_Initials] and present & _LETTER:
-        initials = scan(rules.match_initials, at(_LETTER))
+    if enabled[RuleId.R8_Initials] and present & _LETTER and present & _SURNAME:
+        initials = scan(rules.match_initials, at(_LETTER, _LETTER | _SURNAME))
     _mark(blocked, suffixed, names)
 
     if enabled[RuleId.R6_Postposition] and present & _AMBIGUOUS:
@@ -467,9 +532,9 @@ def _collect(engine: Engine, stream: TokenStream) -> List[Proposal]:
     if enabled[RuleId.R9_Abbreviation] and present & (_ABBREVIATION | _LETTER):
         by_initials: set = set()
         _mark(by_initials, initials)
-        abbreviations = scan(rules.match_abbreviation, (
-            i for i, bit in zip(candidates, bits)
-            if bit & _ABBREVIATION or (bit & _LETTER and i not in by_initials)))
+        runs = filterfalse(by_initials.__contains__, at(_LETTER, _LETTER))
+        abbreviations = scan(rules.match_abbreviation,
+                             sorted({*runs, *at(_ABBREVIATION)}))
 
     if enabled[RuleId.R10_OrgKeyword] and present & _ORG_KEYWORD:
         _mark(covered, suffixed, names, initials, ambiguous, numbers, abbreviations)

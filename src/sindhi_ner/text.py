@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import add, not_, or_, sub
-from typing import Iterable, Iterator, NamedTuple, Tuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 # Characters stripped from token edges into separate punctuation tokens.
 # Arabic comma, Urdu full stop, ASCII sentence punctuation, paired
@@ -170,22 +170,19 @@ def token_pattern(specials: str = EDGE_SPECIALS):
     return re.compile(f"([{cls}]|[^ {cls}](?:[^ ]*[^ {cls}])?)")
 
 
-def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
-    """Tokenize whitespace-normalized text.
+def surface_forms(surfaces: Sequence[str], specials: str = EDGE_SPECIALS):
+    """The norm and the kind of each token surface, as two lists.
 
-    Splits on single spaces, then splits edge specials off each chunk into
-    punctuation tokens.  Byte spans index ``raw.encode("utf-8")`` and are
-    strictly increasing; slicing those bytes reproduces each surface.
+    A surface that is one special character is punctuation with the empty
+    norm; any other surface is lowercased and classed as a word, a number
+    literal or a symbol.  This is the one definition of a token's norm
+    and kind: ``tokenize`` applies it to every token, and the engine to
+    each surface it has not seen before.
+
+    >>> surface_forms(["KTN", "،", "10:40", "+"])
+    (['ktn', '', '10:40', '+'], ['word', 'punctuation', 'number-literal', 'symbol'])
     """
-    # [spaces, token, spaces, token, ..., spaces]
-    parts = token_pattern(specials).split(raw)
-    surfaces = tuple(parts[1::2])
-    sizes = list(map(len, map(str.encode, surfaces)))
-    ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
-    # Each distinct surface is lowercased once, and its tokens share the
-    # norm: text repeats most of its words.
-    lowered = {s: s.lower() for s in set(surfaces)}
-    norms = list(map(lowered.__getitem__, surfaces))
+    norms = list(map(str.lower, surfaces))
     kinds = [WORD] * len(surfaces)
     # Only edge punctuation and surfaces that are not all letters (numbers,
     # symbols, words with marks or ZWNJ) need a closer look.
@@ -199,6 +196,22 @@ def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
             kinds[i] = PUNCTUATION
         else:
             kinds[i] = _classify(surface)
+    return norms, kinds
+
+
+def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
+    """Tokenize whitespace-normalized text.
+
+    Splits on single spaces, then splits edge specials off each chunk into
+    punctuation tokens.  Byte spans index ``raw.encode("utf-8")`` and are
+    strictly increasing; slicing those bytes reproduces each surface.
+    """
+    # [spaces, token, spaces, token, ..., spaces]
+    parts = token_pattern(specials).split(raw)
+    surfaces = tuple(parts[1::2])
+    sizes = list(map(len, map(str.encode, surfaces)))
+    ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
+    norms, kinds = surface_forms(surfaces, specials)
     return TokenStream(source=raw, surfaces=surfaces,
                        starts=tuple(map(sub, ends, sizes)), ends=ends,
                        norms=tuple(norms), kinds=tuple(kinds))

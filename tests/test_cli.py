@@ -389,6 +389,28 @@ class TestGazetteer:
             "error:invalid-data: 1 problem(s) found",
             f"{bad}:1: not valid UTF-8"]
 
+    def test_check_reads_synonym_map(self, tmp_path, capsys):
+        synonyms = tmp_path / "synonyms.tsv"
+        synonyms.write_text("abc\n", encoding="utf-8")
+        config = write_config(tmp_path, extra_lines=[f"synonyms={synonyms}"])
+        assert main(["gazetteer", "check", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error:invalid-data: 1 problem(s) found",
+            f"{synonyms}:1: expected FROM<TAB>TO in synonym map"]
+        # The engine refuses the same file.
+        assert main(["tag", "--config", str(config), "-"]) == 1
+        assert capsys.readouterr().err.startswith(f"error:config: {synonyms}:1: ")
+
+    def test_check_reports_missing_synonym_map(self, tmp_path, capsys):
+        ghost = tmp_path / "ghost.tsv"
+        config = write_config(tmp_path, extra_lines=[f"synonyms={ghost}"])
+        assert main(["gazetteer", "check", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error:invalid-data: 1 problem(s) found"
+        assert err[1].startswith(f"{ghost}: ")
+
     def test_add_appends_entry(self, tmp_path, capsys):
         target = tmp_path / "extra.tsv"
         assert main(["gazetteer", "add", "نئون شهر", "Location",
@@ -493,6 +515,28 @@ def test_readme_test_command_finds_the_package():
          "-p", "no:cacheprovider", "tests/test_text.py"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestModuleEntryPoint:
+    """``python3 -m sindhi_ner.cli`` runs the same commands as ``main``."""
+
+    def run_module(self, *argv):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env.pop(CONFIG_ENV_VAR, None)
+        return subprocess.run(
+            [sys.executable, "-m", "sindhi_ner.cli", *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+
+    def test_gazetteer_check(self):
+        proc = self.run_module("gazetteer", "check")
+        assert (proc.returncode, proc.stdout) == (0, "OK\n"), proc.stderr
+
+    def test_usage_error_exits_2(self):
+        proc = self.run_module("no-such-command")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr
 
 
 class TestErrorPrefixInvariant:

@@ -3,7 +3,10 @@
 import dataclasses
 import gc
 import json
+import os
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,7 @@ from sindhi_ner.pipeline import (
     select_proposals,
 )
 from sindhi_ner.rules import DIRECT_LABELS, Proposal, RuleId, TagLabel, sort_key
-from sindhi_ner.text import NUMBER, WORD, normalize_whitespace, tokenize
+from sindhi_ner.text import EDGE_SPECIALS, NUMBER, WORD, normalize_whitespace, tokenize
 
 from test_acceptance import GOLDEN
 
@@ -572,6 +575,40 @@ def collect_reference(engine, stream):
     return proposals
 
 
+def reference_stream(engine, source):
+    """``tokenize`` with the engine's synonym map applied to the norms."""
+    stream = tokenize(source, engine.config.edge_specials)
+    syn = engine.synonyms
+    return dataclasses.replace(stream, norms=tuple(syn.get(n, n) for n in stream.norms))
+
+
+def reference_bits(engine, stream):
+    """Each token's gate bits, one plain test per bit."""
+    rules = engine.rules
+    bits = []
+    for norm, kind in zip(stream.norms, stream.kinds):
+        bit = engine._gates.get(norm, 0)
+        if kind == NUMBER:
+            bit |= pipeline._NUMERAL
+        if "://" in norm or "@" in norm or norm.startswith("www."):
+            bit |= pipeline._SHAPE
+        if kind == WORD and (norm in rules.person_markers
+                             or norm.endswith(rules.suffix_endings)):
+            bit |= pipeline._SUFFIX
+        bits.append(bit)
+    return bits
+
+
+def engine_tokens(engine, text):
+    """The engine's token stream and gate bits for ``text``, checked
+    against ``tokenize`` and the plain per-bit tests."""
+    source = normalize_whitespace(text)
+    stream, bits = engine._tokens(source)
+    assert stream == reference_stream(engine, source), text
+    assert list(bits) == reference_bits(engine, stream), text
+    return stream, bits
+
+
 @pytest.fixture(scope="module")
 def engines(engine, tmp_path_factory):
     """The default engine, one whose ambiguous name also takes a person
@@ -592,6 +629,12 @@ def engines(engine, tmp_path_factory):
     return variants
 
 
+# Letter-name shapes that the R8/R9 next-token gates admit or reject: a
+# run of letters before a surname, a bare run, one letter before a
+# surname, and a letter that ends the text.
+LETTER_RUNS = ["جي جي مهر", "اي بي", "اي مهر", "هو ويو جي"]
+
+
 def cascade_vocabulary(engine):
     """Norms that open some rule's scan gate, plus the shapes around them."""
     rules = engine.rules
@@ -600,6 +643,7 @@ def cascade_vocabulary(engine):
               "سعيداد"}
     words |= {"05.06.2016", "15", "2016", "10:40", "99:99", "http://a.b",
               "www.sindhila.org", "x@y.com", "۔", "،", "(", ")", "KTN"}
+    words |= set(LETTER_RUNS)
     return sorted(words)
 
 
@@ -609,8 +653,8 @@ def test_collect_matches_reference(engines, data):
     vocabulary = cascade_vocabulary(engines[0])
     words = data.draw(st.lists(st.sampled_from(vocabulary), max_size=30))
     engine = data.draw(st.sampled_from(engines))
-    stream = tokenize(" ".join(words), engine.config.edge_specials)
-    assert sorted(_collect(engine, stream), key=sort_key) == \
+    stream, bits = engine_tokens(engine, " ".join(words))
+    assert sorted(_collect(engine, stream, bits), key=sort_key) == \
         sorted(collect_reference(engine, stream), key=sort_key)
 
 
@@ -619,8 +663,8 @@ FILLER = ["هو", "گهر", "ويو", "آيو", "ته", "پر", "اهو", "ڪم"
 
 
 def assert_collect_matches_reference(engine, text):
-    stream = tokenize(normalize_whitespace(text), engine.config.edge_specials)
-    got = _collect(engine, stream)
+    stream, bits = engine_tokens(engine, text)
+    got = _collect(engine, stream, bits)
     assert sorted(got, key=sort_key) == \
         sorted(collect_reference(engine, stream), key=sort_key), text
     return got
@@ -683,6 +727,7 @@ GATED = [
     "جي اي مهر ۽ ڪي ٽي اين",       # initials mute the abbreviation run
     "05.06.2016 ڪراچي يونيورسٽي",  # shape, direct match, org keyword
     "وزير اعظم زرداري بينڪ",        # title coverage stops the org extension
+    *LETTER_RUNS,                  # the R8/R9 next-token gates
 ]
 
 
@@ -691,9 +736,86 @@ def test_collect_matches_reference_on_gold(engines):
              for doc in load_gold(DATA_DIR / "mini_gold.tsv").documents]
     for text in texts + GATED:
         for engine in engines:
-            stream = tokenize(text)
-            assert sorted(_collect(engine, stream), key=sort_key) == \
+            stream, bits = engine_tokens(engine, text)
+            assert sorted(_collect(engine, stream, bits), key=sort_key) == \
                 sorted(collect_reference(engine, stream), key=sort_key)
+
+
+# --------------------------------------------------------------------------
+# The surface memo
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def memo_engines(engines, tmp_path_factory):
+    """The ``engines`` variants, and one whose edge specials leave out ۔."""
+    tmp = tmp_path_factory.mktemp("specials")
+    specials = EDGE_SPECIALS.replace("۔", "")
+    path = write_config(tmp, extra_lines=[f"edge_specials={specials}"])
+    return engines + [build_engine(load_config(path))]
+
+
+def memo_words(engine):
+    """Cascade words, synonym variants, edge-punctuation shapes, and
+    arbitrary text."""
+    pool = cascade_vocabulary(engine) + sorted(engine.synonyms)
+    pool += ["۔x", "x۔", "ڪراچى۔", "(ڪراچى)", "ABC", "ΑΣ", "İx"]
+    return st.one_of(st.sampled_from(pool), st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tagged_tokens_match_tokenize(memo_engines, data):
+    engine = data.draw(st.sampled_from(memo_engines))
+    words = data.draw(st.lists(memo_words(engine), max_size=20))
+    extra = data.draw(st.lists(memo_words(engine), max_size=2))
+    text = " ".join(words)
+    # Cold or warm, then mostly warm with a few new surfaces, then warm.
+    for raw in (text, " ".join(words + extra), text):
+        source = normalize_whitespace(raw)
+        assert engine.tag_text(raw).tokens == reference_stream(engine, source)
+        engine_tokens(engine, raw)
+
+
+def flood(count):
+    """Three gold sentences in turn, each time with two surfaces no other
+    text holds: the memo knows most surfaces of each text but one."""
+    sentences = [" ".join(doc.tokens)
+                 for doc in load_gold(DATA_DIR / "mini_gold.tsv").documents[:3]]
+    return [f"{sentences[k % 3]} w{k}x v{k}۔" for k in range(count)]
+
+
+def test_memo_stays_within_its_cap(monkeypatch):
+    texts = flood(400) + [t.upper() for t in flood(40)]
+    reference = build_engine()
+    expected = [render(reference.tag_text(t), "jsonl") for t in texts]
+    monkeypatch.setattr(pipeline, "_MEMO_CAP", 64)
+    engine = build_engine()
+    sizes = []
+    for text, want in zip(texts, expected):
+        assert render(engine.tag_text(text), "jsonl") == want
+        sizes.append(len(engine._memo))
+    assert max(sizes) <= 64
+    # The texts hold far more distinct surfaces than the cap, so the
+    # memo was cleared many times.
+    assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 10
+
+
+def test_threads_share_an_engine(monkeypatch):
+    texts = flood(300)
+    expected = [render(build_engine().tag_text(t), "jsonl") for t in texts]
+    monkeypatch.setattr(pipeline, "_MEMO_CAP", 64)
+    engine = build_engine()
+    workers = min(8, (os.cpu_count() or 1) + 1)   # more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads often, inside the memo code
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            got = list(pool.map(lambda t: render(engine.tag_text(t), "jsonl"),
+                                texts, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert len(engine._memo) <= 64
 
 
 # --------------------------------------------------------------------------
@@ -736,7 +858,7 @@ class TestCollectorPause:
 
     def test_collector_enabled_after_an_exception(self, engine, monkeypatch,
                                                   collector_enabled):
-        def fail(engine, stream):
+        def fail(engine, stream, bits):
             assert not gc.isenabled()  # inside the paused region
             raise RuntimeError("boom")
         monkeypatch.setattr(pipeline, "_collect", fail)
