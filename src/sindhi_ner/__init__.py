@@ -22,7 +22,6 @@ from .corpus import (
     evaluate,
     load_gold,
     score_labels,
-    store_document,
 )
 from .errors import (
     ConfigError,
@@ -112,7 +111,6 @@ __all__ = [
     "render",
     "resolve_conflicts",
     "score_labels",
-    "store_document",
     "tag_text",
     "tokenize",
     "validate_sources",

@@ -219,13 +219,13 @@ def _word_list_specs(config: EngineConfig):
 def _cmd_gazetteer(args) -> int:
     config = _resolve_config(args)
     if args.action == "list":
-        stats = gazetteer_stats(load_gazetteer(config.gazetteers))
+        stats = gazetteer_stats(load_gazetteer(config.gazetteers, config.edge_specials))
         for category in Category:
             sys.stdout.write(f"{category.value}\t{stats[category]}\n")
         return 0
     if args.action == "check":
         problems = validate_sources(config.gazetteers, _word_list_specs(config),
-                                    config.synonyms)
+                                    config.synonyms, config.edge_specials)
         if problems:
             print(f"error:invalid-data: {len(problems)} problem(s) found",
                   file=sys.stderr)
@@ -239,19 +239,19 @@ def _cmd_gazetteer(args) -> int:
 
 def _gazetteer_add(args, config: EngineConfig) -> int:
     target = Path(args.file)
-    lineno = 1
-    if target.exists():
-        lineno += sum(1 for _ in read_lines(target))
+    lines = list(read_lines(target)) if target.exists() else []
+    lineno = len(lines) + 1
     try:
         category = Category[args.category]
     except KeyError:
         raise UnknownCategory(
             target, lineno, f"unknown category {args.category!r}") from None
-    words = _normalize_words(target, lineno, args.surface)
+    words = _normalize_words(target, lineno, args.surface, config.edge_specials)
     paths = list(config.gazetteers)
     if target.exists() and target.resolve() not in {p.resolve() for p in paths}:
         paths.append(target)
-    merged = load_gazetteer([p for p in paths if Path(p).is_file()])
+    merged = load_gazetteer([p for p in paths if Path(p).is_file()],
+                            config.edge_specials)
     if merged.contains(words, category):
         raise DuplicateEntry(
             target, lineno,
@@ -259,7 +259,8 @@ def _gazetteer_add(args, config: EngineConfig) -> int:
     # The normalized words, which the loaders and ``check`` accept.
     entry = f"{' '.join(words)}\t{category.value}\n"
     with open(target, "a", encoding="utf-8") as fh:
-        fh.write(entry)
+        # A last line without a newline is ended first, as the store does.
+        fh.write(entry if not lines or lines[-1][1].endswith("\n") else "\n" + entry)
     sys.stdout.write(entry)
     return 0
 

@@ -232,17 +232,6 @@ class CorpusStore:
         self.close()
 
 
-def store_document(store: CorpusStore, doc: TaggedDocument) -> int:
-    """Append one tagged document to the store; returns its record id."""
-    return store.append(doc)
-
-
-def query(store: CorpusStore, label: Optional[str] = None,
-          surface: Optional[str] = None, rule: Optional[str] = None):
-    """Free-function form of :meth:`CorpusStore.query`."""
-    return store.query(label=label, surface=surface, rule=rule)
-
-
 # --------------------------------------------------------------------------
 # Gold corpora
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError, DuplicateEntry, MalformedLine, UnknownCategory
-from .text import strip_edge_specials
+from .text import EDGE_SPECIALS, strip_edge_specials
 
 
 class Category(enum.Enum):
@@ -192,10 +192,13 @@ def _iter_tsv(path) -> Iterator[Tuple[int, str, str]]:
         yield lineno, parts[0].strip(), parts[1].strip()
 
 
-def _normalize_words(path, lineno: int, surface: str) -> Tuple[str, ...]:
+def _normalize_words(path, lineno: int, surface: str,
+                     specials: str = EDGE_SPECIALS) -> Tuple[str, ...]:
+    """A surface's words as token norms: lowercased, ``specials`` peeled
+    off their edges; each loader takes the tokenizer's ``specials``."""
     words = []
     for word in surface.split():
-        core, _ = strip_edge_specials(word)
+        core, _ = strip_edge_specials(word, specials)
         if not core:
             raise MalformedLine(path, lineno, f"surface word is all punctuation: {word!r}")
         words.append(core.lower())
@@ -214,14 +217,14 @@ def _parse_category(path, lineno: int, name: str) -> Category:
         raise UnknownCategory(path, lineno, f"unknown category {name!r}") from None
 
 
-def load_gazetteer(paths: Sequence) -> Gazetteer:
+def load_gazetteer(paths: Sequence, specials: str = EDGE_SPECIALS) -> Gazetteer:
     """Load and merge gazetteer files; duplicates across files are errors."""
     entries: List[GazetteerEntry] = []
     seen: Dict[Tuple[Tuple[str, ...], Category], str] = {}
     for path in paths:
         for lineno, surface, cat_name in _iter_tsv(path):
             category = _parse_category(path, lineno, cat_name)
-            words = _normalize_words(path, lineno, surface)
+            words = _normalize_words(path, lineno, surface, specials)
             key = (words, category)
             if key in seen:
                 raise DuplicateEntry(
@@ -235,21 +238,21 @@ def load_gazetteer(paths: Sequence) -> Gazetteer:
     return Gazetteer(entries)
 
 
-def load_word_list(path, category: str) -> frozenset:
+def load_word_list(path, category: str, specials: str = EDGE_SPECIALS) -> frozenset:
     """Load a single-word-per-entry list stored under a reserved category."""
     words = set()
     for lineno, surface, cat_name in _iter_tsv(path):
         if cat_name != category:
             raise UnknownCategory(
                 path, lineno, f"expected category {category!r}, got {cat_name!r}")
-        entry = _normalize_words(path, lineno, surface)
+        entry = _normalize_words(path, lineno, surface, specials)
         if len(entry) != 1:
             raise MalformedLine(path, lineno, "word-list entries must be single words")
         words.add(entry[0])
     return frozenset(words)
 
 
-def load_suffix_table(path):
+def load_suffix_table(path, specials: str = EDGE_SPECIALS):
     """Load the suffix table: (suffix -> label name, person-marker set).
 
     Suffix categories map to tag labels in the rules module; the table file
@@ -262,7 +265,7 @@ def load_suffix_table(path):
             raise UnknownCategory(
                 path, lineno,
                 f"expected one of {', '.join(SUFFIX_CATEGORIES)}, got {cat_name!r}")
-        entry = _normalize_words(path, lineno, surface)
+        entry = _normalize_words(path, lineno, surface, specials)
         if len(entry) != 1:
             raise MalformedLine(path, lineno, "suffix entries must be single words")
         if cat_name == PERSON_MARKER:
@@ -294,7 +297,7 @@ def load_synonyms(path) -> Dict[str, str]:
 
 
 def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence,
-                     synonyms=None) -> List[str]:
+                     synonyms=None, specials: str = EDGE_SPECIALS) -> List[str]:
     """Check every configured data file, collecting all problems.
 
     ``word_lists`` is a sequence of (path, expected-category or None for the
@@ -329,7 +332,7 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence,
         def handler(lineno, surface, cat_name):
             try:
                 category = _parse_category(path, lineno, cat_name)
-                words = _normalize_words(path, lineno, surface)
+                words = _normalize_words(path, lineno, surface, specials)
             except (MalformedLine, UnknownCategory) as exc:
                 problems.append(str(exc))
                 return
@@ -353,7 +356,7 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence,
                     f" {' or '.join(allowed)}, got {cat_name!r}")
                 return
             try:
-                entry = _normalize_words(path, lineno, surface)
+                entry = _normalize_words(path, lineno, surface, specials)
             except MalformedLine as exc:
                 problems.append(str(exc))
                 return

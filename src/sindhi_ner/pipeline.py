@@ -21,7 +21,8 @@ from functools import reduce
 from itertools import accumulate, chain, compress, filterfalse, repeat
 from operator import add, and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import ConfigError, MissingDataFile, UnknownFormat
 from .gazetteer import (
@@ -34,14 +35,13 @@ from .gazetteer import (
     load_suffix_table,
     load_synonyms,
     load_word_list,
-    lookup_longest,
+    lookup_longest,  # noqa: F401 - unused here; bench/spans.py wraps pipeline.lookup_longest
     read_lines,
 )
 from .rules import (
     ABBREVIATION_CATEGORIES,
     DEFAULT_PRIORITIES,
     DIRECT_CATEGORIES,
-    DIRECT_LABELS,
     LABEL_BY_VALUE,
     LABEL_VALUE,
     PERSON_CATEGORIES,
@@ -365,13 +365,14 @@ def build_engine(config: Optional[EngineConfig] = None) -> Engine:
     for p in required:
         if not Path(p).is_file():
             raise MissingDataFile(p)
-    gaz = load_gazetteer(config.gazetteers)
-    suffix_cats, markers = load_suffix_table(config.suffixes)
+    specials = config.edge_specials
+    gaz = load_gazetteer(config.gazetteers, specials)
+    suffix_cats, markers = load_suffix_table(config.suffixes, specials)
     rules = RuleSet(
         gaz=gaz,
-        months=load_word_list(config.months, MONTH_NAME),
-        letters=load_word_list(config.letters, LETTER_NAME),
-        stopwords=load_word_list(config.stopwords, STOPWORD),
+        months=load_word_list(config.months, MONTH_NAME, specials),
+        letters=load_word_list(config.letters, LETTER_NAME, specials),
+        stopwords=load_word_list(config.stopwords, STOPWORD, specials),
         suffixes={sfx: RuleSet.label_for_suffix_category(cat)
                   for sfx, cat in suffix_cats.items()},
         person_markers=markers,
@@ -418,132 +419,105 @@ def tag_text(engine: Engine, raw: str) -> TaggedDocument:
             gc.enable()
 
 
-def _mark(cover: set, *found: List[Proposal]) -> None:
-    """Add every position covered by the proposals to ``cover``."""
-    for proposals in found:
-        if proposals:
-            cover.update(chain.from_iterable(
-                map(range, map(_START, proposals), map(_END, proposals))))
+class _Row(NamedTuple):
+    """One rule of the cascade.
+
+    A start is a position whose token carries the ``gate`` bit and, given
+    ``then``, whose next token carries a bit of ``then``; starts claimed
+    by a proposal of a ``blocked_by`` rule are skipped.  A position whose
+    token carries the ``free`` bit is a start without either test.  The
+    row is skipped when no token carries ``gate`` or ``free``, or when the
+    text lacks a bit of ``needs``.  ``matcher`` names the RuleSet method called
+    at each start; with ``takes_claims`` it also receives the claimed
+    positions, and with ``many`` it returns a list of proposals.
+    """
+
+    rule: RuleId
+    matcher: str
+    gate: int
+    then: int = 0
+    needs: int = 0
+    free: int = 0
+    blocked_by: FrozenSet[RuleId] = frozenset()
+    takes_claims: bool = False
+    many: bool = False
+
+
+# The cascade in run order.  A rule sees only the claims of the rows
+# before it, so each ``blocked_by`` names earlier rows only.
+_CASCADE = (
+    _Row(RuleId.R1_DateTime, "match_datetime", _NUMERAL),
+    _Row(RuleId.R_UrlEmail, "match_url_email", _SHAPE),
+    # A direct match never overrides a date, time, URL or email span.
+    _Row(RuleId.R_GazetteerDirect, "match_gazetteer_direct", _DIRECT,
+         blocked_by=frozenset((RuleId.R1_DateTime, RuleId.R_UrlEmail)),
+         takes_claims=True),
+    _Row(RuleId.R5_TitleDesignation, "match_title_designation", _TITLE, many=True),
+    _Row(RuleId.R4_SurnameTrigger, "match_surname_trigger", _SURNAME),
+    _Row(RuleId.R2_Suffix, "match_suffix_at", _SUFFIX, blocked_by=frozenset((
+        RuleId.R1_DateTime, RuleId.R_UrlEmail, RuleId.R_GazetteerDirect,
+        RuleId.R5_TitleDesignation, RuleId.R4_SurnameTrigger))),
+    _Row(RuleId.R3_GazetteerName, "match_gazetteer_name", _NAME),
+    # Initials are a letter-name run followed by a surname.
+    _Row(RuleId.R8_Initials, "match_initials", _LETTER, then=_LETTER | _SURNAME,
+         needs=_SURNAME),
+    _Row(RuleId.R6_Postposition, "resolve_postposition", _AMBIGUOUS,
+         blocked_by=frozenset((RuleId.R1_DateTime, RuleId.R2_Suffix,
+                               RuleId.R3_GazetteerName, RuleId.R4_SurnameTrigger,
+                               RuleId.R5_TitleDesignation))),
+    _Row(RuleId.R7_NumberWords, "match_number_words", _NUMBER_WORD),
+    # A run needs two letter names; a listed short form starts anywhere.
+    _Row(RuleId.R9_Abbreviation, "match_abbreviation", _LETTER, then=_LETTER,
+         free=_ABBREVIATION, blocked_by=frozenset((RuleId.R8_Initials,))),
+    # The keyword and its backward extension stop at every earlier claim.
+    _Row(RuleId.R10_OrgKeyword, "match_org_keyword", _ORG_KEYWORD,
+         blocked_by=frozenset(RuleId) - {RuleId.R10_OrgKeyword}, takes_claims=True),
+)
 
 
 def _collect(engine: Engine, stream: TokenStream,
              bits: Sequence[int]) -> List[Proposal]:
-    """Run every enabled rule over the stream in cascade order.
+    """Run every enabled rule of ``_CASCADE`` over the stream, in order.
 
-    Order matters only through the coverage gates: the suffix rule skips
-    positions already claimed, rule 6 skips positions claimed by rules
-    1..5, the abbreviation rule skips positions claimed by initials, and
-    the org-keyword rule sees everything claimed so far.  Direct gazetteer
-    matches additionally never override date/time/URL/email shapes.
-
-    Each rule visits only the positions its scan gate admits.  ``bits``
-    holds the gate bits of each token (``Engine._tokens``); the positions
-    with any bit are the candidates, and the OR of their bits is the
-    presence mask: a rule whose bit is absent from it cannot fire, so its
-    phase is skipped.  Each remaining rule filters the candidates by its
-    own bit.  The letter-name rules also read the next token's bits: an
-    initial is followed by a letter name or a surname, and a letter-name
-    abbreviation by a letter name.
+    ``bits`` holds the gate bits of each token (``Engine._tokens``); the
+    positions with any bit are the candidates, and the OR of their bits
+    is the presence mask, which skips the rows that cannot fire.  Each
+    row's matcher is looked up on ``engine.rules`` when the row runs, so
+    a method wrapped after the engine was built is the one called.
     """
     rules = engine.rules
     enabled = engine.enabled
-    gaz = engine.gaz
     candidates = list(compress(range(len(bits)), bits))
     cbits = list(filter(None, bits))
     present = reduce(or_, cbits, 0)
-    follow = ()   # the bits of the token after each candidate
-    if present & _LETTER:
-        follow = list(map([*bits[1:], 0].__getitem__, candidates))
-
-    def at(gate: int, then: int = 0):
-        """Positions whose token carries ``gate``, in text order; given
-        ``then``, only those whose next token carries a bit of it."""
-        flags = map(and_, cbits, repeat(gate))
-        if then:
-            flags = map(mul, flags, map(and_, follow, repeat(then)))
-        return compress(candidates, flags)
-
-    def scan(match, where) -> List[Proposal]:
-        """The proposals ``match`` makes at the positions in ``where``."""
-        return [p for p in map(match, repeat(stream), where) if p is not None]
-
-    covered: set = set()   # positions claimed by any rule so far
-    blocked: set = set()   # positions claimed by rules 1-5: mute rule 6
-
-    dates = links = direct = titles = surnames = suffixed = names = ()
-    initials = ambiguous = numbers = abbreviations = orgs = ()
-    if enabled[RuleId.R1_DateTime] and present & _NUMERAL:
-        dates = scan(rules.match_datetime, at(_NUMERAL))
-    if enabled[RuleId.R_UrlEmail] and present & _SHAPE:
-        links = scan(rules.match_url_email, at(_SHAPE))
-    _mark(covered, dates, links)
-    _mark(blocked, dates)
-
-    if enabled[RuleId.R_GazetteerDirect] and present & _DIRECT:
-        pri = rules.priorities[RuleId.R_GazetteerDirect]
-        direct = []
-        for i in at(_DIRECT):
-            hit = lookup_longest(gaz, stream, i, DIRECT_CATEGORIES)
-            if hit is None:
-                continue
-            entry, k = hit
-            if not covered.isdisjoint(range(i, i + k)):
-                continue
-            direct.append(Proposal(i, i + k, DIRECT_LABELS[entry.category],
-                                   RuleId.R_GazetteerDirect, pri))
-
-    if enabled[RuleId.R5_TitleDesignation] and present & _TITLE:
-        titles = list(chain.from_iterable(
-            map(rules.match_title_designation, repeat(stream), at(_TITLE))))
-
-    if enabled[RuleId.R4_SurnameTrigger] and present & _SURNAME:
-        surnames = scan(rules.match_surname_trigger, at(_SURNAME))
-    _mark(covered, direct, titles, surnames)
-    _mark(blocked, titles, surnames)
-
-    if enabled[RuleId.R2_Suffix] and present & _SUFFIX:
-        pri = rules.priorities[RuleId.R2_Suffix]
-        suffixed = []
-        for i in filterfalse(covered.__contains__, at(_SUFFIX)):
-            hit = rules.match_suffix(stream[i])
-            if hit is not None:
-                suffixed.append(Proposal(i, i + 1, hit[0], RuleId.R2_Suffix, pri))
-
-    if enabled[RuleId.R3_GazetteerName] and present & _NAME:
-        pri = rules.priorities[RuleId.R3_GazetteerName]
-        names = []
-        for i in at(_NAME):
-            hit = lookup_longest(gaz, stream, i, PERSON_CATEGORIES)
-            if hit is not None:
-                names.append(Proposal(i, i + hit[1], TagLabel.PERSON,
-                                      RuleId.R3_GazetteerName, pri))
-
-    if enabled[RuleId.R8_Initials] and present & _LETTER and present & _SURNAME:
-        initials = scan(rules.match_initials, at(_LETTER, _LETTER | _SURNAME))
-    _mark(blocked, suffixed, names)
-
-    if enabled[RuleId.R6_Postposition] and present & _AMBIGUOUS:
-        ambiguous = scan(rules.resolve_postposition,
-                         filterfalse(blocked.__contains__, at(_AMBIGUOUS)))
-
-    if enabled[RuleId.R7_NumberWords] and present & _NUMBER_WORD:
-        numbers = scan(rules.match_number_words, at(_NUMBER_WORD))
-
-    if enabled[RuleId.R9_Abbreviation] and present & (_ABBREVIATION | _LETTER):
-        by_initials: set = set()
-        _mark(by_initials, initials)
-        runs = filterfalse(by_initials.__contains__, at(_LETTER, _LETTER))
-        abbreviations = scan(rules.match_abbreviation,
-                             sorted({*runs, *at(_ABBREVIATION)}))
-
-    if enabled[RuleId.R10_OrgKeyword] and present & _ORG_KEYWORD:
-        _mark(covered, suffixed, names, initials, ambiguous, numbers, abbreviations)
-        made = map(rules.match_org_keyword, repeat(stream), at(_ORG_KEYWORD),
-                   repeat(covered))
-        orgs = [p for p in made if p is not None]
-
-    return [*dates, *links, *direct, *titles, *surnames, *suffixed, *names,
-            *initials, *ambiguous, *numbers, *abbreviations, *orgs]
+    found: Dict[RuleId, List[Proposal]] = {}
+    spans: Dict[RuleId, set] = {}   # the positions each rule in ``found`` covers
+    for row in _CASCADE:
+        if (not present & (row.gate | row.free) or not enabled[row.rule]
+                or (present & row.needs) != row.needs):
+            continue
+        flags = map(and_, cbits, repeat(row.gate))
+        if row.then:
+            follow = map([*bits[1:], 0].__getitem__, candidates)   # the next bits
+            flags = map(mul, flags, map(and_, follow, repeat(row.then)))
+        starts = compress(candidates, flags)
+        claims = ()
+        if row.blocked_by:
+            claimed = set().union(*map(spans.get, row.blocked_by, repeat(())))
+            starts = filterfalse(claimed.__contains__, starts)
+            if row.takes_claims:
+                claims = (repeat(claimed),)
+        if row.free:
+            starts = sorted({*starts, *compress(
+                candidates, map(and_, cbits, repeat(row.free)))})
+        made = list(filter(None, map(getattr(rules, row.matcher),
+                                     repeat(stream), starts, *claims)))
+        made = list(chain.from_iterable(made)) if row.many else made
+        if made:
+            found[row.rule] = made
+            spans[row.rule] = set(chain.from_iterable(
+                map(range, map(_START, made), map(_END, made))))
+    return list(chain.from_iterable(found.values()))
 
 
 def select_proposals(proposals: Iterable[Proposal]) -> List[Proposal]:

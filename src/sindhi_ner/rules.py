@@ -2,10 +2,12 @@
 
 Each matcher is a pure function of (tokens, position) plus the rule data
 bound on the RuleSet: gazetteer, month names, letter names, stopwords, and
-the suffix table.  ``tokens`` is a TokenStream; the matchers read its
-columns (``norms``, ``kinds``, ``surfaces``) by position.  Matchers emit
-Proposals; the pipeline owns scan order, precondition gating between
-rules, and conflict resolution.
+the suffix table; the direct and org-keyword matchers also take the
+positions earlier rules claimed.  ``tokens`` is a TokenStream; the
+matchers read its columns (``norms``, ``kinds``, ``surfaces``) by
+position.  Matchers emit Proposals; ``pipeline._CASCADE`` states the scan
+order, the scan gates and which rules' claims block each rule, and the
+pipeline resolves conflicts.
 
 Cascade summary (priority in parentheses, lower wins):
 
@@ -283,7 +285,29 @@ class RuleSet:
             return self._make(i, i + 1, TagLabel.EMAIL, RuleId.R_UrlEmail)
         return None
 
+    # -- direct gazetteer matches -----------------------------------------
+
+    def match_gazetteer_direct(self, tokens, i: int, claimed) -> Optional[Proposal]:
+        """The longest gazetteer entry at ``i`` of a category in
+        DIRECT_LABELS, under that category's label, unless its span
+        touches a position in ``claimed``."""
+        hit = lookup_longest(self.gaz, tokens, i, DIRECT_CATEGORIES)
+        if hit is None:
+            return None
+        entry, k = hit
+        if not claimed.isdisjoint(range(i, i + k)):
+            return None
+        return self._make(i, i + k, DIRECT_LABELS[entry.category],
+                          RuleId.R_GazetteerDirect)
+
     # -- rule 2: word suffixes --------------------------------------------
+
+    def match_suffix_at(self, tokens, i: int) -> Optional[Proposal]:
+        """A one-token proposal of ``match_suffix``'s label at ``i``."""
+        hit = self.match_suffix(tokens[i])
+        if hit is None:
+            return None
+        return self._make(i, i + 1, hit[0], RuleId.R2_Suffix)
 
     def match_suffix(self, token) -> Optional[Tuple[TagLabel, str]]:
         """Label a single word by its ending, or by a person-marker surface.
@@ -302,6 +326,15 @@ class RuleSet:
             if n.endswith(suffix) and len(n) - len(suffix) >= MIN_SUFFIX_STEM:
                 return label, suffix
         return None
+
+    # -- rule 3: gazetteer person names -----------------------------------
+
+    def match_gazetteer_name(self, tokens, i: int) -> Optional[Proposal]:
+        """PERSON over the longest first-name entry at ``i``."""
+        hit = lookup_longest(self.gaz, tokens, i, PERSON_CATEGORIES)
+        if hit is None:
+            return None
+        return self._make(i, i + hit[1], TagLabel.PERSON, RuleId.R3_GazetteerName)
 
     # -- rule 5: titles and designations ----------------------------------
 
@@ -352,8 +385,8 @@ class RuleSet:
     def resolve_postposition(self, tokens, i: int) -> Optional[Proposal]:
         """PERSON on a known-but-ambiguous name followed by the genitive جي.
 
-        Covers only the name token itself.  The pipeline additionally
-        requires that no rule-1..5 proposal already covers the position.
+        Covers only the name token itself.  The cascade skips positions
+        that rules 1-5 claimed.
         """
         norms = tokens.norms
         n = norms[i]

@@ -17,6 +17,7 @@ from sindhi_ner.cli import CONFIG_ENV_VAR, main
 from sindhi_ner.corpus import CorpusStore
 from sindhi_ner.gazetteer import Category, load_gazetteer
 from sindhi_ner.pipeline import DATA_DIR, DEFAULT_CONFIG_PATH
+from sindhi_ner.text import EDGE_SPECIALS
 
 from test_pipeline import write_config
 
@@ -428,6 +429,33 @@ class TestGazetteer:
         assert capsys.readouterr().out == "OK\n"
         entries = load_gazetteer([target]).entries()
         assert [(e.words, e.category) for e in entries] == [(("a", "b"), Category.Location)]
+
+    def test_add_ends_an_unterminated_last_line(self, tmp_path, capsys):
+        target = tmp_path / "extra.tsv"
+        target.write_text("نئون شهر\tLocation", encoding="utf-8")
+        assert main(["gazetteer", "add", "مرڪزوال", "Location",
+                     "--file", str(target)]) == 0
+        assert target.read_text("utf-8") == "نئون شهر\tLocation\nمرڪزوال\tLocation\n"
+        capsys.readouterr()
+        # The line number add reports is the one the entry landed on.
+        assert main(["gazetteer", "add", "مرڪزوال", "Location",
+                     "--file", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(f"error:duplicate-entry: {target}:3: ")
+        assert main(["gazetteer", "check", "--gazetteer", str(target)]) == 0
+
+    def test_add_and_check_normalize_with_configured_edge_specials(self, tmp_path, capsys):
+        # With "." no edge special, the token U.N. has the norm "u.n.".
+        specials = EDGE_SPECIALS.replace(".", "")
+        config = write_config(tmp_path, extra_lines=[f"edge_specials={specials}"])
+        target = tmp_path / "extra.tsv"
+        assert main(["gazetteer", "add", "U.N.", "Abbreviation", "--config", str(config),
+                     "--file", str(target)]) == 0
+        assert target.read_text("utf-8") == "u.n.\tAbbreviation\n"
+        # "..." is a word here, not a surface of punctuation alone.
+        target.write_text("...\tTerm\n", encoding="utf-8")
+        assert main(["gazetteer", "check", "--config", str(config),
+                     "--gazetteer", str(target)]) == 0
+        assert main(["gazetteer", "check", "--gazetteer", str(target)]) == 1
 
     def test_add_refuses_duplicate_in_target(self, tmp_path, capsys):
         target = tmp_path / "extra.tsv"

@@ -18,9 +18,7 @@ from sindhi_ner.corpus import (
     evaluate,
     load_gold,
     predicted_labels,
-    query,
     score_labels,
-    store_document,
 )
 from sindhi_ner.errors import (
     CorruptStore,
@@ -218,11 +216,6 @@ class TestStore:
             before = [st.query(**f) for f in QUERY_FILTERS]
         with CorpusStore(path) as st:
             assert [st.query(**f) for f in QUERY_FILTERS] == before
-
-    def test_free_function_forms(self, store, engine):
-        doc_id = store_document(store, engine.tag_text(SAMPLES[0]))
-        assert doc_id == 1
-        assert query(store, label="DATE") == store.query(label="DATE")
 
     def test_corrupt_garbage_line(self, tmp_path, engine):
         path = tmp_path / "corpus.jsonl"

@@ -32,7 +32,7 @@ from sindhi_ner.pipeline import (
     resolve_conflicts,
     select_proposals,
 )
-from sindhi_ner.rules import DIRECT_LABELS, Proposal, RuleId, TagLabel, sort_key
+from sindhi_ner.rules import DIRECT_LABELS, Proposal, RuleId, RuleSet, TagLabel, sort_key
 from sindhi_ner.text import EDGE_SPECIALS, NUMBER, WORD, normalize_whitespace, tokenize
 
 from test_acceptance import GOLDEN
@@ -164,6 +164,18 @@ class TestBuildEngine:
         doc = inert.tag_text("اويس جمائي 05.06.2016 تي سنڌ يونيورسٽي ويو")
         assert doc.entities == ()
         assert doc.untagged == tuple(range(len(doc.tokens)))
+
+    def test_data_surfaces_take_the_configured_edge_specials(self, tmp_path):
+        # With "." no edge special, the token U.N. has the norm "u.n.",
+        # and so must the entry.
+        extra = tmp_path / "extra.tsv"
+        extra.write_text("U.N.\tAbbreviation\n", "utf-8")
+        specials = EDGE_SPECIALS.replace(".", "")
+        path = write_config(tmp_path, extra_gazetteer=extra,
+                            extra_lines=[f"edge_specials={specials}"])
+        doc = build_engine(load_config(path)).tag_text("U.N. ۾")
+        assert [(e.surface, e.label) for e in doc.entities] == \
+            [("U.N.", TagLabel.ABBREVIATION)]
 
 
 class TestTagText:
@@ -611,12 +623,14 @@ def engine_tokens(engine, text):
 
 @pytest.fixture(scope="module")
 def engines(engine, tmp_path_factory):
-    """The default engine, one whose ambiguous name also takes a person
-    suffix (rule 2 then mutes rule 6), and variants whose disabled rules
-    lift gates."""
+    """The default engine; one whose ambiguous names also take a person
+    suffix (rule 2 then mutes rule 6) or are a month, a surname or an org
+    keyword (a date or a surname span then mutes rule 6, and rule 6 can
+    claim the keyword); and variants whose disabled rules lift gates."""
     tmp = tmp_path_factory.mktemp("engines")
     extra = tmp / "extra.tsv"
-    extra.write_text("سعيداد\tAmbiguousName\n", "utf-8")
+    extra.write_text("".join(f"{word}\tAmbiguousName\n"
+                             for word in ("سعيداد", "مارچ", "مهر", "بينڪ")), "utf-8")
     variants = [engine, build_engine(load_config(write_config(tmp, extra_gazetteer=extra)))]
     for k, off in enumerate((
             ("R1_DateTime", "R_UrlEmail", "R8_Initials"),
@@ -727,6 +741,17 @@ GATED = [
     "جي اي مهر ۽ ڪي ٽي اين",       # initials mute the abbreviation run
     "05.06.2016 ڪراچي يونيورسٽي",  # shape, direct match, org keyword
     "وزير اعظم زرداري بينڪ",        # title coverage stops the org extension
+    "اي بي سي ڊي مهر",             # R9 skips initials' starts only: (0,3) beside (1,5)
+    "ڊي ڊي آر مهر",               # a listed short form starts inside initials
+    "x@y.پور",                    # an email mutes the suffix rule
+    "ڊاڪٽر شفقت جي",               # a title's person mutes rule 6
+    "15 مارچ جي",                 # a date mutes rule 6
+    "اويس مهر جي",                # a surname span mutes rule 6
+    "جي اي مهر جي",               # initials do not mute rule 6
+    "بينڪ جي",                    # rule 6 claims the org keyword
+    "15 مارچ يونيورسٽي",           # a date stops the org extension
+    "جي اي مهر بينڪ",              # initials stop the org extension
+    "www.sindhila.org بينڪ",       # a URL stops the org extension
     *LETTER_RUNS,                  # the R8/R9 next-token gates
 ]
 
@@ -739,6 +764,34 @@ def test_collect_matches_reference_on_gold(engines):
             stream, bits = engine_tokens(engine, text)
             assert sorted(_collect(engine, stream, bits), key=sort_key) == \
                 sorted(collect_reference(engine, stream), key=sort_key)
+
+
+def test_cascade_runs_each_rule_once_after_its_blockers():
+    order = [row.rule for row in pipeline._CASCADE]
+    assert sorted(order, key=list(RuleId).index) == list(RuleId)
+    for k, row in enumerate(pipeline._CASCADE):
+        assert row.blocked_by <= set(order[:k]), row.rule
+        assert callable(getattr(RuleSet, row.matcher)), row.matcher
+
+
+def test_bench_hooks_count_every_matcher(engine, monkeypatch):
+    # The traced benchmark wraps RuleSet methods after build_engine, so
+    # the cascade must look its matchers up on the engine's RuleSet.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from spans import MATCHERS, Hooks, Recorder
+
+    texts = [" ".join(doc.tokens)
+             for doc in load_gold(DATA_DIR / "mini_gold.tsv").documents]
+    recorder = Recorder()
+    hooks = Hooks(recorder)
+    hooks.install()
+    try:
+        for text in texts + GATED:
+            engine.tag_text(text)
+    finally:
+        hooks.remove()
+    assert not [name for name in hooks.missing if name.startswith("RuleSet.")]
+    assert [m for m in MATCHERS if not recorder.calls[f"rules.{m}"]] == []
 
 
 # --------------------------------------------------------------------------
