@@ -26,7 +26,6 @@ from .errors import (
     MissingDataFile,
     NerError,
     TornRecordWarning,
-    UnknownCategory,
 )
 from .gazetteer import (
     Category,
@@ -38,6 +37,7 @@ from .gazetteer import (
     read_lines,
     validate_sources,
     _normalize_words,
+    _parse_category,
 )
 from .pipeline import (
     Engine,
@@ -207,13 +207,14 @@ def _cmd_query(args) -> int:
 
 
 def _word_list_specs(config: EngineConfig):
-    specs = [
+    """The word lists in ``build_engine``'s load order, so the first
+    problem ``check`` lists is the error ``tag`` fails on."""
+    return [
+        (config.suffixes, None),
         (config.months, MONTH_NAME),
         (config.letters, LETTER_NAME),
         (config.stopwords, STOPWORD),
-        (config.suffixes, None),
     ]
-    return specs
 
 
 def _cmd_gazetteer(args) -> int:
@@ -241,11 +242,7 @@ def _gazetteer_add(args, config: EngineConfig) -> int:
     target = Path(args.file)
     lines = list(read_lines(target)) if target.exists() else []
     lineno = len(lines) + 1
-    try:
-        category = Category[args.category]
-    except KeyError:
-        raise UnknownCategory(
-            target, lineno, f"unknown category {args.category!r}") from None
+    category = _parse_category(target, lineno, args.category)
     words = _normalize_words(target, lineno, args.surface, config.edge_specials)
     paths = list(config.gazetteers)
     if target.exists() and target.resolve() not in {p.resolve() for p in paths}:

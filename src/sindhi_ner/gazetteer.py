@@ -18,7 +18,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import ConfigError, DuplicateEntry, MalformedLine, UnknownCategory
+from .errors import (
+    ConfigError, DuplicateEntry, MalformedLine, NerError, UnknownCategory)
 from .text import EDGE_SPECIALS, strip_edge_specials
 
 
@@ -156,7 +157,12 @@ def gazetteer_stats(gaz: Gazetteer) -> Dict[Category, int]:
 
 
 # --------------------------------------------------------------------------
-# TSV parsing
+# Data files
+#
+# Each file's per-line rules are written once, in a generator that yields
+# a parsed entry per data line or, for a bad line, the NerError it is
+# refused with.  The loaders raise the first error a generator yields;
+# validate_sources drains the same generators and lists every error.
 # --------------------------------------------------------------------------
 
 def read_lines(path) -> Iterator[Tuple[int, str]]:
@@ -180,16 +186,39 @@ def read_lines(path) -> Iterator[Tuple[int, str]]:
         raise
 
 
-def _iter_tsv(path) -> Iterator[Tuple[int, str, str]]:
-    """Yield (lineno, surface, category) for data lines of a TSV file."""
+def _iter_tsv(path, parse, malformed=None) -> Iterator:
+    """``parse(lineno, first, second)`` for each data line of a TSV file,
+    or the NerError it raises.
+
+    A line that is not two tab-separated fields gives ``malformed(lineno)``,
+    by default a MalformedLine asking for SURFACE<TAB>CATEGORY.  Blank
+    lines and ``#`` comments are skipped.  Opening or decoding the file
+    raises what read_lines raises, before anything is yielded.
+    """
     for lineno, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        # strip() took any tab at the line's edges, so two fields are
+        # both non-empty.
         parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise MalformedLine(path, lineno, "expected SURFACE<TAB>CATEGORY")
-        yield lineno, parts[0].strip(), parts[1].strip()
+        if len(parts) != 2:
+            yield (malformed(lineno) if malformed else
+                   MalformedLine(path, lineno, "expected SURFACE<TAB>CATEGORY"))
+            continue
+        try:
+            item = parse(lineno, parts[0].strip(), parts[1].strip())
+        except NerError as exc:
+            item = exc
+        yield item
+
+
+def _entries(items) -> Iterator:
+    """The entries of a data-file generator; raises the first error."""
+    for item in items:
+        if isinstance(item, NerError):
+            raise item
+        yield item
 
 
 def _normalize_words(path, lineno: int, surface: str,
@@ -217,39 +246,76 @@ def _parse_category(path, lineno: int, name: str) -> Category:
         raise UnknownCategory(path, lineno, f"unknown category {name!r}") from None
 
 
-def load_gazetteer(paths: Sequence, specials: str = EDGE_SPECIALS) -> Gazetteer:
-    """Load and merge gazetteer files; duplicates across files are errors."""
-    entries: List[GazetteerEntry] = []
-    seen: Dict[Tuple[Tuple[str, ...], Category], str] = {}
-    for path in paths:
-        for lineno, surface, cat_name in _iter_tsv(path):
-            category = _parse_category(path, lineno, cat_name)
-            words = _normalize_words(path, lineno, surface, specials)
-            key = (words, category)
-            if key in seen:
+def _iter_gazetteer(path, specials: str, seen: Dict) -> Iterator:
+    """The entries of one gazetteer file, or the error of each bad line.
+
+    ``seen`` maps every (words, category) taken so far, in this file or
+    an earlier one, to where it was first seen; a repeat is a
+    DuplicateEntry.
+    """
+    def parse(lineno, surface, cat_name):
+        category = _parse_category(path, lineno, cat_name)
+        words = _normalize_words(path, lineno, surface, specials)
+        key = (words, category)
+        if key in seen:
+            raise DuplicateEntry(
+                path, lineno,
+                f"duplicate entry {' '.join(words)!r} / {category.value}"
+                f" (first seen at {seen[key]})")
+        source = seen[key] = f"{path}:{lineno}"
+        return GazetteerEntry(surface=" ".join(words), words=words,
+                              category=category, source=source)
+    return _iter_tsv(path, parse)
+
+
+def _iter_words(path, category: Optional[str], specials: str) -> Iterator:
+    """(word, category) per line of a word list stored under the reserved
+    ``category``, or of the suffix table if it is None, or the error of
+    each bad line.  A suffix listed twice is a DuplicateEntry; a repeated
+    person marker or word-list word is not.
+    """
+    if category is None:
+        allowed, what = SUFFIX_CATEGORIES, "suffix"
+        wanted = f"one of {', '.join(SUFFIX_CATEGORIES)}"
+    else:
+        allowed, what, wanted = (category,), "word-list", f"category {category!r}"
+    suffixes: Dict[str, str] = {}  # suffix -> where first seen
+
+    def parse(lineno, surface, cat_name):
+        if cat_name not in allowed:
+            raise UnknownCategory(path, lineno, f"expected {wanted}, got {cat_name!r}")
+        words = _normalize_words(path, lineno, surface, specials)
+        if len(words) != 1:
+            raise MalformedLine(path, lineno, f"{what} entries must be single words")
+        word = words[0]
+        if category is None and cat_name != PERSON_MARKER:
+            if word in suffixes:
                 raise DuplicateEntry(
                     path, lineno,
-                    f"duplicate entry {' '.join(words)!r} / {category.value}"
-                    f" (first seen at {seen[key]})")
-            seen[key] = f"{path}:{lineno}"
-            entries.append(GazetteerEntry(
-                surface=" ".join(words), words=words,
-                category=category, source=f"{path}:{lineno}"))
-    return Gazetteer(entries)
+                    f"duplicate suffix {word!r} (first seen at {suffixes[word]})")
+            suffixes[word] = f"{path}:{lineno}"
+        return word, cat_name
+    return _iter_tsv(path, parse)
+
+
+def _iter_synonyms(path) -> Iterator:
+    """(variant, canonical) per line of the synonym map, or the
+    ConfigError of each line that is not two fields."""
+    return _iter_tsv(
+        path, lambda lineno, variant, canonical: (variant, canonical),
+        lambda lineno: ConfigError(f"{path}:{lineno}: expected FROM<TAB>TO in synonym map"))
+
+
+def load_gazetteer(paths: Sequence, specials: str = EDGE_SPECIALS) -> Gazetteer:
+    """Load and merge gazetteer files; duplicates across files are errors."""
+    seen: Dict[Tuple[Tuple[str, ...], Category], str] = {}
+    return Gazetteer(entry for path in paths
+                     for entry in _entries(_iter_gazetteer(path, specials, seen)))
 
 
 def load_word_list(path, category: str, specials: str = EDGE_SPECIALS) -> frozenset:
     """Load a single-word-per-entry list stored under a reserved category."""
-    words = set()
-    for lineno, surface, cat_name in _iter_tsv(path):
-        if cat_name != category:
-            raise UnknownCategory(
-                path, lineno, f"expected category {category!r}, got {cat_name!r}")
-        entry = _normalize_words(path, lineno, surface, specials)
-        if len(entry) != 1:
-            raise MalformedLine(path, lineno, "word-list entries must be single words")
-        words.add(entry[0])
-    return frozenset(words)
+    return frozenset(word for word, _ in _entries(_iter_words(path, category, specials)))
 
 
 def load_suffix_table(path, specials: str = EDGE_SPECIALS):
@@ -260,20 +326,11 @@ def load_suffix_table(path, specials: str = EDGE_SPECIALS):
     """
     suffixes: Dict[str, str] = {}
     markers = set()
-    for lineno, surface, cat_name in _iter_tsv(path):
-        if cat_name not in SUFFIX_CATEGORIES:
-            raise UnknownCategory(
-                path, lineno,
-                f"expected one of {', '.join(SUFFIX_CATEGORIES)}, got {cat_name!r}")
-        entry = _normalize_words(path, lineno, surface, specials)
-        if len(entry) != 1:
-            raise MalformedLine(path, lineno, "suffix entries must be single words")
+    for word, cat_name in _entries(_iter_words(path, None, specials)):
         if cat_name == PERSON_MARKER:
-            markers.add(entry[0])
-        elif entry[0] in suffixes:
-            raise DuplicateEntry(path, lineno, f"duplicate suffix {entry[0]!r}")
+            markers.add(word)
         else:
-            suffixes[entry[0]] = cat_name
+            suffixes[word] = cat_name
     return suffixes, frozenset(markers)
 
 
@@ -283,104 +340,35 @@ def load_synonyms(path) -> Dict[str, str]:
     Raises ConfigError naming the first line that is not two non-empty
     fields.
     """
-    mapping: Dict[str, str] = {}
-    for lineno, raw in read_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ConfigError(
-                f"{path}:{lineno}: expected FROM<TAB>TO in synonym map")
-        mapping[parts[0].strip()] = parts[1].strip()
-    return mapping
+    return dict(_entries(_iter_synonyms(path)))
 
 
 def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence,
                      synonyms=None, specials: str = EDGE_SPECIALS) -> List[str]:
-    """Check every configured data file, collecting all problems.
+    """Check every configured data file, listing every problem in every file.
 
-    ``word_lists`` is a sequence of (path, expected-category or None for the
-    suffix table); ``synonyms`` is the synonym map's path, if any.  Unlike
-    the loaders, this does not stop at the first bad line; it returns one
-    message per problem so a check command can list them all.  The
-    synonym map is read by its loader, which stops at its first problem.
+    ``word_lists`` is a sequence of (path, reserved category, or None for
+    the suffix table); ``synonyms`` is the synonym map's path, if any.
+    Each file is read by the generator its loader reads it with, so each
+    message is the error that loader would raise, and when the files are
+    given in ``build_engine``'s load order (gazetteers, suffixes, months,
+    letters, stopwords, synonyms) the first message is the error
+    ``build_engine`` fails on.  A file that cannot be opened or decoded is
+    one problem, ``<path>: <error>`` or ``<path>:<line>: not valid
+    UTF-8``; the other files are still checked.
     """
-    problems: List[str] = []
     seen: Dict[Tuple[Tuple[str, ...], Category], str] = {}
-
-    def check_lines(path, handler):
+    files = [(path, _iter_gazetteer(path, specials, seen)) for path in gazetteer_paths]
+    files += [(path, _iter_words(path, category, specials))
+              for path, category in word_lists]
+    if synonyms is not None:
+        files.append((synonyms, _iter_synonyms(synonyms)))
+    problems: List[str] = []
+    for path, items in files:
         try:
-            lines = read_lines(path)
+            problems.extend(str(item) for item in items if isinstance(item, NerError))
         except OSError as exc:
             problems.append(f"{path}: {exc}")
-            return
-        except MalformedLine as exc:
-            problems.append(str(exc))
-            return
-        for lineno, raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                problems.append(f"{path}:{lineno}: expected SURFACE<TAB>CATEGORY")
-                continue
-            handler(lineno, parts[0].strip(), parts[1].strip())
-
-    def gaz_handler_for(path):
-        def handler(lineno, surface, cat_name):
-            try:
-                category = _parse_category(path, lineno, cat_name)
-                words = _normalize_words(path, lineno, surface, specials)
-            except (MalformedLine, UnknownCategory) as exc:
-                problems.append(str(exc))
-                return
-            key = (words, category)
-            if key in seen:
-                problems.append(
-                    f"{path}:{lineno}: duplicate entry {' '.join(words)!r}"
-                    f" / {category.value} (first seen at {seen[key]})")
-            else:
-                seen[key] = f"{path}:{lineno}"
-        return handler
-
-    def list_handler_for(path, expected):
-        suffixes: Dict[str, str] = {}  # suffix -> where first seen
-
-        def handler(lineno, surface, cat_name):
-            allowed = SUFFIX_CATEGORIES if expected is None else (expected,)
-            if cat_name not in allowed:
-                problems.append(
-                    f"{path}:{lineno}: expected category"
-                    f" {' or '.join(allowed)}, got {cat_name!r}")
-                return
-            try:
-                entry = _normalize_words(path, lineno, surface, specials)
-            except MalformedLine as exc:
-                problems.append(str(exc))
-                return
-            if len(entry) != 1:
-                problems.append(f"{path}:{lineno}: entries must be single words")
-            elif expected is None and cat_name != PERSON_MARKER:
-                # The suffix table's rule, as load_suffix_table applies it.
-                if entry[0] in suffixes:
-                    problems.append(
-                        f"{path}:{lineno}: duplicate suffix {entry[0]!r}"
-                        f" (first seen at {suffixes[entry[0]]})")
-                else:
-                    suffixes[entry[0]] = f"{path}:{lineno}"
-        return handler
-
-    for path in gazetteer_paths:
-        check_lines(path, gaz_handler_for(path))
-    for path, expected in word_lists:
-        check_lines(path, list_handler_for(path, expected))
-    if synonyms is not None:
-        try:
-            load_synonyms(synonyms)
-        except OSError as exc:
-            problems.append(f"{synonyms}: {exc}")
-        except (ConfigError, MalformedLine) as exc:
+        except MalformedLine as exc:  # not valid UTF-8
             problems.append(str(exc))
     return problems

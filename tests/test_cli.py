@@ -1,22 +1,27 @@
 """End-to-end command tests through main(argv)."""
 
+import contextlib
 import gc
 import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sindhi_ner
-from sindhi_ner.cli import CONFIG_ENV_VAR, main
+from sindhi_ner.cli import CONFIG_ENV_VAR, _word_list_specs, main
 from sindhi_ner.corpus import CorpusStore
-from sindhi_ner.gazetteer import Category, load_gazetteer
-from sindhi_ner.pipeline import DATA_DIR, DEFAULT_CONFIG_PATH
+from sindhi_ner.errors import NerError
+from sindhi_ner.gazetteer import Category, load_gazetteer, validate_sources
+from sindhi_ner.pipeline import DATA_DIR, DEFAULT_CONFIG_PATH, build_engine, load_config
 from sindhi_ner.text import EDGE_SPECIALS
 
 from test_pipeline import write_config
@@ -412,6 +417,38 @@ class TestGazetteer:
         assert err[0] == "error:invalid-data: 1 problem(s) found"
         assert err[1].startswith(f"{ghost}: ")
 
+    def test_check_lists_every_bad_synonym_line(self, tmp_path, capsys):
+        synonyms = tmp_path / "synonyms.tsv"
+        synonyms.write_text("abc\nok\tfine\nx\ty\tz\n", encoding="utf-8")
+        config = write_config(tmp_path, extra_lines=[f"synonyms={synonyms}"])
+        assert main(["gazetteer", "check", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error:invalid-data: 2 problem(s) found",
+            f"{synonyms}:1: expected FROM<TAB>TO in synonym map",
+            f"{synonyms}:3: expected FROM<TAB>TO in synonym map"]
+
+    def test_check_goes_on_past_an_unreadable_file(self, tmp_path, capsys):
+        first, bad, last = (tmp_path / name for name in ("a.tsv", "b.tsv", "c.tsv"))
+        first.write_text("سنڌ\tLocation\n", encoding="utf-8")
+        bad.write_bytes("ڪراچي\tLocation\n".encode() + b"\xff\tLocation\n")
+        last.write_text("ڪراچي\tLocation\nسنڌ\tLocation\n", encoding="utf-8")
+        ghost = tmp_path / "ghost.tsv"
+        argv = ["gazetteer", "check"]
+        for path in (first, ghost, bad, last):
+            argv += ["--gazetteer", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        # The entries of an unreadable file are not taken, so only the
+        # repeat of an earlier readable file's entry is a duplicate.
+        assert err[0] == "error:invalid-data: 3 problem(s) found"
+        assert err[1].startswith(f"{ghost}: ")
+        assert err[2:] == [
+            f"{bad}:2: not valid UTF-8",
+            f"{last}:2: duplicate entry 'سنڌ' / Location (first seen at {first}:1)"]
+        # Loading for real, a file that cannot be opened is an io error.
+        assert main(["gazetteer", "list", "--gazetteer", str(ghost)]) == 1
+        assert capsys.readouterr().err.startswith("error:io: ")
+
     def test_add_appends_entry(self, tmp_path, capsys):
         target = tmp_path / "extra.tsv"
         assert main(["gazetteer", "add", "نئون شهر", "Location",
@@ -506,6 +543,74 @@ class TestGazetteer:
         feed_stdin(monkeypatch, "هو مرڪزوال ويو")
         assert main(["tag", "--config", str(config)]) == 0
         assert "<LOCATION>مرڪزوال</LOCATION>" in capsys.readouterr().out
+
+
+# The data files build_engine reads (the gold corpus and config are not).
+DATA_FILES = sorted(p.name for p in DATA_DIR.glob("*.tsv") if p.name != "mini_gold.tsv")
+WORD_LISTS = ("suffixes.tsv", "months.tsv", "letters.tsv", "stopwords.tsv")
+
+
+def _damage(data, directory):
+    """Apply one drawn edit to a copy of the data directory."""
+    edit = data.draw(st.sampled_from([
+        "drop-tab", "duplicate", "invalid-byte", "unknown-category",
+        "multi-word", "repeated-suffix", "bad-synonym"]))
+    names = {"multi-word": WORD_LISTS, "repeated-suffix": ["suffixes.tsv"],
+             "bad-synonym": ["synonyms.tsv"],
+             "unknown-category": [n for n in DATA_FILES if n != "synonyms.tsv"]}
+    path = directory / data.draw(st.sampled_from(names.get(edit, DATA_FILES)))
+    lines = [line + b"\n" for line in path.read_bytes().splitlines()]
+    where = data.draw(st.integers(0, len(lines)))
+    row = data.draw(st.sampled_from([i for i, line in enumerate(lines)
+                                     if line.strip() and not line.startswith(b"#")]))
+    if edit == "drop-tab":
+        lines[row] = lines[row].replace(b"\t", b"", 1)
+    elif edit == "duplicate":
+        lines.insert(where, lines[min(where, len(lines) - 1)])
+    elif edit == "invalid-byte":
+        lines.insert(where, b"\xff" + (lines.pop(where) if where < len(lines) else b"\n"))
+    elif edit == "unknown-category":
+        lines[row] = lines[row].split(b"\t")[0] + b"\tNope\n"
+    elif edit == "multi-word":
+        surface, _, rest = lines[row].partition(b"\t")
+        lines[row] = surface + b" " + surface + b"\t" + rest
+    elif edit == "repeated-suffix":
+        suffix = (DATA_DIR / "suffixes.tsv").read_text("utf-8").splitlines()[1].split("\t")[0]
+        lines.insert(where, f"{suffix}\tTermSuffix\n".encode())
+    elif edit == "bad-synonym":
+        lines.insert(where, "ڪراچى\n".encode())
+    path.write_bytes(b"".join(lines))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_lists_what_build_engine_fails_on(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "data"
+        shutil.copytree(DATA_DIR, directory)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _damage(data, directory)
+        config_path = directory / "engine.conf"
+        config = load_config(config_path)
+        problems = validate_sources(config.gazetteers, _word_list_specs(config),
+                                    config.synonyms, config.edge_specials)
+        try:
+            build_engine(config)
+        except NerError as exc:
+            assert problems and problems[0] == str(exc)
+        else:
+            assert problems == []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gazetteer", "check", "--config", str(config_path)])
+        if not problems:
+            assert (code, out.getvalue(), err.getvalue()) == (0, "OK\n", "")
+            return
+        assert code == 1 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert lines == [f"error:invalid-data: {len(problems)} problem(s) found", *problems]
+        for line in lines[1:]:
+            assert re.match(rf"{re.escape(str(directory))}/[a-z_]+\.tsv:\d+: ", line), line
 
 
 class TestInvalidUtf8DataFile:

@@ -85,6 +85,18 @@ class TestLoadConfig:
         assert config.rule_flags == {RuleId.R6_Postposition: False}
         assert config.priorities == {RuleId.R10_OrgKeyword: 42}
 
+    def test_readme_example_loads_as_documented(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        path = tmp_path / "engine.conf"
+        path.write_text(block, "utf-8")
+        config = load_config(path)
+        assert config.edge_specials == EDGE_SPECIALS
+        assert config.synonyms == tmp_path / "synonyms.tsv"
+        assert config.rule_flags[RuleId.R6_Postposition] is False
+        assert config.priorities[RuleId.R10_OrgKeyword] == 42
+
     def test_flag_spellings(self, tmp_path):
         for value, expected in (("on", True), ("true", True), ("1", True),
                                 ("yes", True), ("off", False),
@@ -626,12 +638,21 @@ def engines(engine, tmp_path_factory):
     """The default engine; one whose ambiguous names also take a person
     suffix (rule 2 then mutes rule 6) or are a month, a surname or an org
     keyword (a date or a surname span then mutes rule 6, and rule 6 can
-    claim the keyword); and variants whose disabled rules lift gates."""
+    claim the keyword); one whose suffix table makes a month name end in
+    a location suffix (a date then mutes rule 2); and variants whose
+    disabled rules lift gates."""
     tmp = tmp_path_factory.mktemp("engines")
     extra = tmp / "extra.tsv"
     extra.write_text("".join(f"{word}\tAmbiguousName\n"
                              for word in ("سعيداد", "مارچ", "مهر", "بينڪ")), "utf-8")
     variants = [engine, build_engine(load_config(write_config(tmp, extra_gazetteer=extra)))]
+    directory = tmp / "suffixes"
+    directory.mkdir()
+    suffixes = directory / "suffixes.tsv"
+    suffixes.write_text((DATA_DIR / "suffixes.tsv").read_text("utf-8")
+                        + "رچ\tLocationSuffix\n", "utf-8")
+    path = write_config(directory, extra_lines=[f"suffixes={suffixes}"])
+    variants.append(build_engine(load_config(path)))
     for k, off in enumerate((
             ("R1_DateTime", "R_UrlEmail", "R8_Initials"),
             ("R_GazetteerDirect", "R5_TitleDesignation", "R4_SurnameTrigger"),
@@ -746,6 +767,7 @@ GATED = [
     "x@y.پور",                    # an email mutes the suffix rule
     "ڊاڪٽر شفقت جي",               # a title's person mutes rule 6
     "15 مارچ جي",                 # a date mutes rule 6
+    "هو 15 مارچ تي آيو",           # a date mutes the suffix rule
     "اويس مهر جي",                # a surname span mutes rule 6
     "جي اي مهر جي",               # initials do not mute rule 6
     "بينڪ جي",                    # rule 6 claims the org keyword
