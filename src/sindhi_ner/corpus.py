@@ -30,7 +30,6 @@ from .errors import (
 )
 from .gazetteer import read_lines
 from .pipeline import (
-    JSONL_ENCODER,
     SPAN_RULE,
     SPAN_SURFACE,
     SPAN_TOKEN_END,
@@ -39,7 +38,7 @@ from .pipeline import (
     EntitySpan,
     TaggedDocument,
     entity_from_dict,
-    entity_to_dict,
+    render,
 )
 from .rules import LABEL_BY_VALUE, LABEL_VALUE, RULE_BY_VALUE, RuleId, TagLabel
 
@@ -155,11 +154,12 @@ class CorpusStore:
             self._entity_ids.extend(repeat(doc.doc_id, len(entities)))
 
     def append(self, tagged: TaggedDocument) -> int:
-        """Store one tagged document; returns its assigned id."""
+        """Store one tagged document; returns its assigned id.
+
+        The record is the document's jsonl line with ``"id"`` put first.
+        """
         doc = StoredDocument(self._next_id, tagged.source, list(tagged.entities))
-        line = JSONL_ENCODER.encode(
-            {"id": doc.doc_id, "text": doc.text,
-             "entities": [entity_to_dict(e) for e in doc.entities]})
+        line = '{"id": %d, ' % doc.doc_id + render(tagged, "jsonl")[1:]
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
             if self._torn_at is not None:

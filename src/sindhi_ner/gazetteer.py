@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
-    ConfigError, DuplicateEntry, MalformedLine, NerError, UnknownCategory)
+    ConfigError, DuplicateEntry, MalformedLine, MissingDataFile, NerError, UnknownCategory)
 from .text import EDGE_SPECIALS, strip_edge_specials
 
 
@@ -168,9 +169,12 @@ def gazetteer_stats(gaz: Gazetteer) -> Dict[Category, int]:
 def read_lines(path) -> Iterator[Tuple[int, str]]:
     """(lineno, line) for every line of a UTF-8 text file.
 
-    A leading byte-order mark is dropped.  Raises MalformedLine naming
-    the first line that is not valid UTF-8.
+    A leading byte-order mark is dropped.  Raises MissingDataFile when
+    ``path`` is not a file, and MalformedLine naming the first line that
+    is not valid UTF-8.
     """
+    if not Path(path).is_file():
+        raise MissingDataFile(path)
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return enumerate(fh.readlines(), 1)
@@ -353,9 +357,10 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence,
     message is the error that loader would raise, and when the files are
     given in ``build_engine``'s load order (gazetteers, suffixes, months,
     letters, stopwords, synonyms) the first message is the error
-    ``build_engine`` fails on.  A file that cannot be opened or decoded is
-    one problem, ``<path>: <error>`` or ``<path>:<line>: not valid
-    UTF-8``; the other files are still checked.
+    ``build_engine`` fails on.  A file that is missing, cannot be opened
+    or cannot be decoded is one problem: the MissingDataFile message,
+    ``<path>: <error>`` or ``<path>:<line>: not valid UTF-8``; the other
+    files are still checked.
     """
     seen: Dict[Tuple[Tuple[str, ...], Category], str] = {}
     files = [(path, _iter_gazetteer(path, specials, seen)) for path in gazetteer_paths]
@@ -369,6 +374,6 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence,
             problems.extend(str(item) for item in items if isinstance(item, NerError))
         except OSError as exc:
             problems.append(f"{path}: {exc}")
-        except MalformedLine as exc:  # not valid UTF-8
+        except (MissingDataFile, MalformedLine) as exc:  # missing, not valid UTF-8
             problems.append(str(exc))
     return problems

@@ -19,12 +19,13 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import accumulate, chain, compress, filterfalse, repeat
+from json.encoder import encode_basestring
 from operator import add, and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .errors import ConfigError, MissingDataFile, UnknownFormat
+from .errors import ConfigError, InvalidInput, UnknownFormat
 from .gazetteer import (
     Category,
     Gazetteer,
@@ -71,9 +72,12 @@ DEFAULT_CONFIG_PATH = DATA_DIR / "engine.conf"
 
 RENDER_FORMATS = ("inline", "tabular", "jsonl")
 
-# The encoder of every jsonl line the package writes: the same output as
-# json.dumps(record, ensure_ascii=False), without a new encoder per call.
-JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# Each label's and rule's JSON string, encoded once.
+_LABEL_JSON = {label: encode_basestring(value) for label, value in LABEL_VALUE.items()}
+_RULE_JSON = {rule: encode_basestring(value) for rule, value in RULE_VALUE.items()}
+# One entity of a jsonl line, its keys in ``entity_to_dict`` order.
+_ENTITY_JSON = ('{"start_byte": %d, "end_byte": %d, "token_start": %d, "token_end": %d,'
+                ' "label": %s, "rule": %s, "surface": %s}')
 
 _START = attrgetter("start")
 _END = attrgetter("end")
@@ -164,8 +168,6 @@ class EngineConfig:
 def load_config(path) -> EngineConfig:
     """Parse a flat key=value config file into an EngineConfig."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingDataFile(path)
     base = path.parent
     values: Dict[str, object] = {}
     rule_flags: Dict[RuleId, bool] = {}
@@ -324,7 +326,16 @@ class Engine:
 
     def _classify(self, surfaces: Sequence[str]):
         """The byte sizes, norms, kinds and gate bits of ``surfaces``, as
-        four lists."""
+        four lists.
+
+        Raises InvalidInput for a surface that UTF-8 cannot encode, such
+        as one holding a lone surrogate.
+        """
+        try:
+            sizes = list(map(len, map(str.encode, surfaces)))
+        except UnicodeEncodeError as exc:
+            raise InvalidInput(f"text holds {exc.object[exc.start:exc.end]!r}, "
+                               f"which UTF-8 cannot encode") from exc
         norms, kinds = surface_forms(surfaces, self.config.edge_specials)
         syn = self.synonyms
         if syn and not syn.keys().isdisjoint(norms):
@@ -347,24 +358,19 @@ class Engine:
                                              map(str.endswith, norms, repeat(endings)))):
                 if kinds[i] == WORD:
                     bits[i] |= _SUFFIX
-        return list(map(len, map(str.encode, surfaces))), norms, kinds, bits
+        return sizes, norms, kinds, bits
 
 
 def build_engine(config: Optional[EngineConfig] = None) -> Engine:
     """Load all configured data files and assemble an Engine.
 
-    Raises MissingDataFile naming the first absent path; data-file errors
-    from the loaders propagate with file and line number.
+    The files load in the order gazetteers, suffixes, months, letters,
+    stopwords, synonyms.  The first missing file or bad line in that
+    order raises: MissingDataFile for a missing file, and for a bad line
+    the loader's error, with file and line number.
     """
     if config is None:
         config = EngineConfig.default()
-    required = list(config.gazetteers) + [
-        config.suffixes, config.stopwords, config.months, config.letters]
-    if config.synonyms is not None:
-        required.append(config.synonyms)
-    for p in required:
-        if not Path(p).is_file():
-            raise MissingDataFile(p)
     specials = config.edge_specials
     gaz = load_gazetteer(config.gazetteers, specials)
     suffix_cats, markers = load_suffix_table(config.suffixes, specials)
@@ -399,6 +405,8 @@ def tag_text(engine: Engine, raw: str) -> TaggedDocument:
     so concurrent calls leave it as they found it.  A thread that disables
     it while another thread is inside a paused call finds it enabled again
     once that call returns.
+
+    Raises InvalidInput for a text that UTF-8 cannot encode.
     """
     paused = gc.isenabled() and len(raw) >= gc.get_threshold()[0]
     if paused:
@@ -648,17 +656,28 @@ def entity_from_dict(d: Mapping) -> EntitySpan:
 
 
 def _render_jsonl(doc: TaggedDocument) -> str:
-    record = {
-        "text": doc.source,
-        "entities": [entity_to_dict(e) for e in doc.entities],
-    }
-    return JSONL_ENCODER.encode(record)
+    """``json.dumps({"text": doc.source, "entities": [entity_to_dict(e) for
+    e in doc.entities]}, ensure_ascii=False)``, without a dict per entity.
+
+    Strings go through ``encode_basestring``, as in that encoder, and
+    offsets through ``%d``, which writes an ``int`` as JSON does; the
+    tagger and ``entity_from_dict`` of this output make ``int`` offsets.
+    """
+    return '{"text": %s, "entities": [%s]}' % (encode_basestring(doc.source), ", ".join([
+        _ENTITY_JSON % (start_byte, end_byte, token_start, token_end, _LABEL_JSON[label],
+                        _RULE_JSON[rule], encode_basestring(surface))
+        for token_start, token_end, start_byte, end_byte, label, rule, surface
+        in doc.entities]))
 
 
 def parse_jsonl(text: str) -> List[Tuple[str, List[EntitySpan]]]:
-    """Parse jsonl output back into (text, entities) pairs."""
+    """Parse jsonl output back into (text, entities) pairs.
+
+    Lines end at ``"\\n"`` only: a JSON line holds no raw newline, but may
+    hold U+2028 and the other characters ``str.splitlines`` ends lines at.
+    """
     docs = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line.strip():
             continue
         record = json.loads(line)

@@ -413,9 +413,13 @@ class TestGazetteer:
         ghost = tmp_path / "ghost.tsv"
         config = write_config(tmp_path, extra_lines=[f"synonyms={ghost}"])
         assert main(["gazetteer", "check", "--config", str(config)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err[0] == "error:invalid-data: 1 problem(s) found"
-        assert err[1].startswith(f"{ghost}: ")
+        missing = f"required data file does not exist: {ghost}"
+        assert capsys.readouterr().err.splitlines() == [
+            "error:invalid-data: 1 problem(s) found", missing]
+        # The engine refuses the same file with the same message.
+        assert main(["tag", "--config", str(config), "-"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:missing-data-file: {missing}"]
 
     def test_check_lists_every_bad_synonym_line(self, tmp_path, capsys):
         synonyms = tmp_path / "synonyms.tsv"
@@ -441,13 +445,13 @@ class TestGazetteer:
         # The entries of an unreadable file are not taken, so only the
         # repeat of an earlier readable file's entry is a duplicate.
         assert err[0] == "error:invalid-data: 3 problem(s) found"
-        assert err[1].startswith(f"{ghost}: ")
+        assert err[1] == f"required data file does not exist: {ghost}"
         assert err[2:] == [
             f"{bad}:2: not valid UTF-8",
             f"{last}:2: duplicate entry 'سنڌ' / Location (first seen at {first}:1)"]
-        # Loading for real, a file that cannot be opened is an io error.
+        # Loading for real, a missing file is the same error as in ``tag``.
         assert main(["gazetteer", "list", "--gazetteer", str(ghost)]) == 1
-        assert capsys.readouterr().err.startswith("error:io: ")
+        assert capsys.readouterr().err.startswith("error:missing-data-file: ")
 
     def test_add_appends_entry(self, tmp_path, capsys):
         target = tmp_path / "extra.tsv"
@@ -554,11 +558,18 @@ def _damage(data, directory):
     """Apply one drawn edit to a copy of the data directory."""
     edit = data.draw(st.sampled_from([
         "drop-tab", "duplicate", "invalid-byte", "unknown-category",
-        "multi-word", "repeated-suffix", "bad-synonym"]))
+        "multi-word", "repeated-suffix", "bad-synonym", "delete"]))
     names = {"multi-word": WORD_LISTS, "repeated-suffix": ["suffixes.tsv"],
              "bad-synonym": ["synonyms.tsv"],
              "unknown-category": [n for n in DATA_FILES if n != "synonyms.tsv"]}
-    path = directory / data.draw(st.sampled_from(names.get(edit, DATA_FILES)))
+    # An earlier edit may have deleted a file.
+    present = [n for n in names.get(edit, DATA_FILES) if (directory / n).exists()]
+    if not present:
+        return
+    path = directory / data.draw(st.sampled_from(present))
+    if edit == "delete":
+        path.unlink()
+        return
     lines = [line + b"\n" for line in path.read_bytes().splitlines()]
     where = data.draw(st.integers(0, len(lines)))
     row = data.draw(st.sampled_from([i for i, line in enumerate(lines)
@@ -609,8 +620,10 @@ def test_check_lists_what_build_engine_fails_on(data):
         assert code == 1 and out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert lines == [f"error:invalid-data: {len(problems)} problem(s) found", *problems]
+        where = rf"{re.escape(str(directory))}/[a-z_]+\.tsv"
         for line in lines[1:]:
-            assert re.match(rf"{re.escape(str(directory))}/[a-z_]+\.tsv:\d+: ", line), line
+            assert re.match(
+                rf"{where}:\d+: |required data file does not exist: {where}$", line), line
 
 
 class TestInvalidUtf8DataFile:

@@ -7,7 +7,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sindhi_ner.corpus import (
     CorpusStore,
@@ -28,10 +28,13 @@ from sindhi_ner.errors import (
     TokenizationMismatch,
     UnknownLabel,
 )
-from sindhi_ner.pipeline import DATA_DIR, entity_to_dict, render
+from sindhi_ner.pipeline import (
+    DATA_DIR, EntitySpan, TaggedDocument, entity_to_dict, parse_jsonl, render)
 from sindhi_ner.rules import RuleId, TagLabel
+from sindhi_ner.text import tokenize
 
 from test_acceptance import GOLDEN
+from test_pipeline import GATED
 
 
 SAMPLES = (
@@ -97,6 +100,52 @@ def write_hand_edited_store(path):
                             for r in records), "utf-8")
 
 
+# Characters JSON escapes or that are easy to get wrong: the quote, the
+# backslash, every C0 control, DEL, the two Unicode line separators,
+# non-BMP characters and lone surrogates.
+JSON_HARD = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029",
+             "\U0001F600", "\U0010FFFF", "\ud800", "\udbff", "\udc00", "\udfff"]
+json_text = st.text(st.one_of(st.sampled_from(JSON_HARD),
+                              st.characters(blacklist_categories=())), max_size=12)
+offsets = st.one_of(st.integers(0, 1000), st.integers(-2 ** 70, 2 ** 70))
+hand_spans = st.builds(EntitySpan, offsets, offsets, offsets, offsets,
+                       st.sampled_from(TagLabel), st.sampled_from(RuleId), json_text)
+
+
+# One entity per label and rule pair.
+EVERY_LABEL_AND_RULE = [
+    EntitySpan(k, k + 1, 2 * k, 2 * k + 2, label, rule, "ڪراچي")
+    for k, (label, rule) in enumerate(itertools.product(TagLabel, RuleId))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_text, st.lists(hand_spans, max_size=4))
+@example("سنڌ", EVERY_LABEL_AND_RULE)
+@example("", [])
+def test_jsonl_writer_matches_json_dumps(source, entities):
+    # The render line and the store line of a hand-built document, whose
+    # spans the tagger may never make, are json.dumps of its record, and
+    # read back to the document.
+    doc = TaggedDocument(source=source, tokens=tokenize(""),
+                         entities=tuple(entities), untagged=())
+    record = {"text": source, "entities": [entity_to_dict(e) for e in entities]}
+    line = render(doc, "jsonl")
+    assert line == json.dumps(record, ensure_ascii=False)
+    assert parse_jsonl(line) == [(source, entities)]
+    stored = json.dumps({"id": 1, **record}, ensure_ascii=False)
+    try:
+        stored.encode("utf-8")
+    except UnicodeEncodeError:
+        return  # a lone surrogate: no UTF-8 file can hold the record
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        with CorpusStore(path) as corpus:
+            corpus.append(doc)
+        assert path.read_text("utf-8") == stored + "\n"
+        reopened = CorpusStore(path).get(1)
+        assert (reopened.text, reopened.entities) == (source, entities)
+
+
 @pytest.fixture()
 def store(tmp_path):
     with CorpusStore(tmp_path / "corpus.jsonl") as st:
@@ -122,12 +171,16 @@ class TestStore:
         assert [d.doc_id for d in store.documents()] == [1, 2, 3, 4, 5]
 
     def test_lines_match_json_dumps(self, tmp_path, engine):
-        # The render line and the store line of each golden sentence are
-        # json.dumps of the same record, byte for byte.
+        # The render line and the store line of each golden sentence, gold
+        # document and gated text are json.dumps of the same record, byte
+        # for byte.
+        texts = [text for text, _ in GOLDEN] + GATED + [
+            " ".join(doc.tokens)
+            for doc in load_gold(DATA_DIR / "mini_gold.tsv").documents]
         path = tmp_path / "corpus.jsonl"
         records = []
         with CorpusStore(path) as st:
-            for text, _ in GOLDEN:
+            for text in texts:
                 doc = engine.tag_text(text)
                 entities = [entity_to_dict(e) for e in doc.entities]
                 record = {"text": doc.source, "entities": entities}

@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sindhi_ner import pipeline
 from sindhi_ner.corpus import load_gold
-from sindhi_ner.errors import ConfigError, MalformedLine, MissingDataFile, UnknownFormat
+from sindhi_ner.errors import (
+    ConfigError, InvalidInput, MalformedLine, MissingDataFile, UnknownFormat)
 from sindhi_ner.gazetteer import Category, _normalize_words, lookup_longest
 from sindhi_ner.pipeline import (
     DATA_DIR,
@@ -244,6 +245,18 @@ class TestTagText:
         doc = engine.tag_text("اويس، ڪراچي ويو")
         person = doc.entities[0]
         assert person.surface == "اويس"
+
+    @pytest.mark.parametrize("text", [
+        "اويس \ud800 ويو",                 # most surfaces new: classified whole
+        "اويس ويو " * 4 + "\udfff",      # most surfaces known: the new one alone
+    ])
+    def test_text_utf8_cannot_encode_is_invalid_input(self, engine, text):
+        engine.tag_text("اويس ويو")
+        with pytest.raises(InvalidInput) as err:
+            engine.tag_text(text)
+        assert err.value.code == "invalid-input"
+        assert isinstance(err.value.__cause__, UnicodeEncodeError)
+        assert engine.tag_text("اويس ويو").entities
 
     def test_determinism(self, engine):
         text = "جي اي مهر صاحب 05.06.2016 تي ڪراچي ۾ وزير اعظم سان مليو"
@@ -798,7 +811,9 @@ def test_cascade_runs_each_rule_once_after_its_blockers():
 
 def test_bench_hooks_count_every_matcher(engine, monkeypatch):
     # The traced benchmark wraps RuleSet methods after build_engine, so
-    # the cascade must look its matchers up on the engine's RuleSet.
+    # the cascade must look its matchers up on the engine's RuleSet.  It
+    # also wraps pipeline.tokenize, pipeline.lookup_longest and the other
+    # module functions it names, each of which must still resolve.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from spans import MATCHERS, Hooks, Recorder
 
@@ -812,7 +827,7 @@ def test_bench_hooks_count_every_matcher(engine, monkeypatch):
             engine.tag_text(text)
     finally:
         hooks.remove()
-    assert not [name for name in hooks.missing if name.startswith("RuleSet.")]
+    assert hooks.missing == []
     assert [m for m in MATCHERS if not recorder.calls[f"rules.{m}"]] == []
 
 
