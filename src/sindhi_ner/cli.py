@@ -17,7 +17,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .corpus import CorpusStore, evaluate, load_gold
 from .errors import (
@@ -40,7 +40,6 @@ from .gazetteer import (
     _parse_category,
 )
 from .pipeline import (
-    Engine,
     EngineConfig,
     RENDER_FORMATS,
     build_engine,

@@ -38,9 +38,10 @@ from .pipeline import (
     EntitySpan,
     TaggedDocument,
     entity_from_dict,
+    predicted_labels,
     render,
 )
-from .rules import LABEL_BY_VALUE, LABEL_VALUE, RULE_BY_VALUE, RuleId, TagLabel
+from .rules import LABEL_BY_VALUE, RULE_BY_VALUE, RuleId, TagLabel
 
 _DOCSTART = "-DOCSTART-"
 
@@ -322,7 +323,8 @@ class EvalReport:
 
     @property
     def accuracy_display(self) -> str:
-        return f"{100 * self.correct_tokens / self.total_tokens:.2f}%"
+        return (f"{100 * self.correct_tokens / self.total_tokens:.2f}%"
+                if self.total_tokens else "0.00%")
 
     def to_dict(self) -> dict:
         return {
@@ -359,15 +361,6 @@ def score_labels(gold: Sequence[Sequence[str]],
             if g != "O" and g != p:
                 report.per_label.setdefault(g, LabelScore()).fn += 1
     return report
-
-
-def predicted_labels(doc: TaggedDocument) -> List[str]:
-    labels = ["O"] * len(doc.tokens)
-    for e in doc.entities:
-        label = LABEL_VALUE[e.label]
-        for i in range(e.token_start, e.token_end):
-            labels[i] = label
-    return labels
 
 
 def evaluate(engine: Engine, gold: GoldCorpus) -> EvalReport:

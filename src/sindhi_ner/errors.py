@@ -60,6 +60,10 @@ class UnknownFormat(NerError):
 class InvalidInput(NerError):
     code = "invalid-input"
 
+    @classmethod
+    def unencodable(cls, exc: UnicodeEncodeError) -> "InvalidInput":
+        return cls(f"text holds {exc.object[exc.start:exc.end]!r}, which UTF-8 cannot encode")
+
 
 class EmptyCorpus(NerError):
     code = "empty-corpus"

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigError, DuplicateEntry, MalformedLine, MissingDataFile, NerError, UnknownCategory)
-from .text import EDGE_SPECIALS, strip_edge_specials
+from .text import EDGE_SPECIALS
 
 
 class Category(enum.Enum):
@@ -90,11 +90,6 @@ class Gazetteer:
             e.words[0] for e in self._entries
             if e.category is category and len(e.words) == 1
         )
-
-    def first_token_norms(self, categories: Iterable[Category]) -> frozenset:
-        """First words of every entry in the given categories (scan gate)."""
-        cats = frozenset(categories)
-        return frozenset(e.words[0] for e in self._entries if e.category in cats)
 
     def match_index(self, categories: Optional[frozenset] = None):
         """Longest-match index over the entries in ``categories`` (all if None).
@@ -227,11 +222,11 @@ def _entries(items) -> Iterator:
 
 def _normalize_words(path, lineno: int, surface: str,
                      specials: str = EDGE_SPECIALS) -> Tuple[str, ...]:
-    """A surface's words as token norms: lowercased, ``specials`` peeled
-    off their edges; each loader takes the tokenizer's ``specials``."""
+    """A surface's words as token norms: lowercased, and with the
+    tokenizer's ``specials`` peeled off their edges as ``tokenize`` does."""
     words = []
     for word in surface.split():
-        core, _ = strip_edge_specials(word, specials)
+        core = word.strip(specials)
         if not core:
             raise MalformedLine(path, lineno, f"surface word is all punctuation: {word!r}")
         words.append(core.lower())

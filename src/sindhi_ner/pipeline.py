@@ -27,7 +27,6 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Option
 
 from .errors import ConfigError, InvalidInput, UnknownFormat
 from .gazetteer import (
-    Category,
     Gazetteer,
     LETTER_NAME,
     MONTH_NAME,
@@ -51,6 +50,7 @@ from .rules import (
     RULE_VALUE,
     RuleId,
     RuleSet,
+    SUFFIX_LABELS,
     SURNAME_CATEGORIES,
     TITLE_CATEGORIES,
     TagLabel,
@@ -83,8 +83,6 @@ _START = attrgetter("start")
 _END = attrgetter("end")
 _LABEL = attrgetter("label")
 _RULE = attrgetter("rule")
-_TOKEN_START = attrgetter("token_start")
-_TOKEN_END = attrgetter("token_end")
 
 # Scan-gate bits, one per rule that starts only at listed norms.
 (_DIRECT, _TITLE, _SURNAME, _NAME, _LETTER, _AMBIGUOUS, _NUMBER_WORD,
@@ -256,15 +254,14 @@ class Engine:
         # Scan gates: a rule can start a match only at a norm that carries
         # its gate bit, so one pass over the norms finds every candidate.
         gate_sets = (
-            (_DIRECT, gaz.first_token_norms(DIRECT_CATEGORIES)),
-            (_TITLE, gaz.first_token_norms(TITLE_CATEGORIES)),
-            (_SURNAME, gaz.first_token_norms(SURNAME_CATEGORIES)),
-            (_NAME, gaz.first_token_norms(PERSON_CATEGORIES)),
+            (_DIRECT, gaz.match_index(DIRECT_CATEGORIES)[0]),
+            (_TITLE, gaz.match_index(TITLE_CATEGORIES)[0]),
+            (_SURNAME, gaz.match_index(SURNAME_CATEGORIES)[0]),
+            (_NAME, gaz.match_index(PERSON_CATEGORIES)[0]),
             (_LETTER, rules.letters),
-            (_AMBIGUOUS, gaz.single_token_norms(Category.AmbiguousName)
-             | gaz.single_token_norms(Category.PersonFirstName)),
+            (_AMBIGUOUS, rules.ambiguous_names),
             (_NUMBER_WORD, rules.number_words),
-            (_ABBREVIATION, gaz.first_token_norms(ABBREVIATION_CATEGORIES)),
+            (_ABBREVIATION, gaz.match_index(ABBREVIATION_CATEGORIES)[0]),
             (_ORG_KEYWORD, rules.org_keywords),
         )
         self._gates: Dict[str, int] = {}
@@ -334,8 +331,7 @@ class Engine:
         try:
             sizes = list(map(len, map(str.encode, surfaces)))
         except UnicodeEncodeError as exc:
-            raise InvalidInput(f"text holds {exc.object[exc.start:exc.end]!r}, "
-                               f"which UTF-8 cannot encode") from exc
+            raise InvalidInput.unencodable(exc) from exc
         norms, kinds = surface_forms(surfaces, self.config.edge_specials)
         syn = self.synonyms
         if syn and not syn.keys().isdisjoint(norms):
@@ -379,8 +375,7 @@ def build_engine(config: Optional[EngineConfig] = None) -> Engine:
         months=load_word_list(config.months, MONTH_NAME, specials),
         letters=load_word_list(config.letters, LETTER_NAME, specials),
         stopwords=load_word_list(config.stopwords, STOPWORD, specials),
-        suffixes={sfx: RuleSet.label_for_suffix_category(cat)
-                  for sfx, cat in suffix_cats.items()},
+        suffixes={sfx: SUFFIX_LABELS[cat] for sfx, cat in suffix_cats.items()},
         person_markers=markers,
         priorities={**DEFAULT_PRIORITIES, **config.priorities},
     )
@@ -417,8 +412,8 @@ def tag_text(engine: Engine, raw: str) -> TaggedDocument:
         entities = resolve_conflicts(_collect(engine, stream, bits), stream)
         # Entities are disjoint and ordered by start: the untagged tokens
         # are the gaps before, between and after them.
-        gap_starts = chain((0,), map(_TOKEN_END, entities))
-        gap_ends = chain(map(_TOKEN_START, entities), (len(stream),))
+        gap_starts = chain((0,), map(SPAN_TOKEN_END, entities))
+        gap_ends = chain(map(SPAN_TOKEN_START, entities), (len(stream),))
         untagged = tuple(chain.from_iterable(map(range, gap_starts, gap_ends)))
         return TaggedDocument(source=source, tokens=stream,
                               entities=entities, untagged=untagged)
@@ -462,7 +457,7 @@ _CASCADE = (
          takes_claims=True),
     _Row(RuleId.R5_TitleDesignation, "match_title_designation", _TITLE, many=True),
     _Row(RuleId.R4_SurnameTrigger, "match_surname_trigger", _SURNAME),
-    _Row(RuleId.R2_Suffix, "match_suffix_at", _SUFFIX, blocked_by=frozenset((
+    _Row(RuleId.R2_Suffix, "match_suffix", _SUFFIX, blocked_by=frozenset((
         RuleId.R1_DateTime, RuleId.R_UrlEmail, RuleId.R_GazetteerDirect,
         RuleId.R5_TitleDesignation, RuleId.R4_SurnameTrigger))),
     _Row(RuleId.R3_GazetteerName, "match_gazetteer_name", _NAME),
@@ -602,7 +597,10 @@ def render(doc: TaggedDocument, fmt: str = "inline") -> str:
 
 
 def _render_inline(doc: TaggedDocument) -> str:
-    src = doc.source.encode("utf-8")
+    try:
+        src = doc.source.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidInput.unencodable(exc) from exc
     pieces = []
     pos = 0
     for e in doc.entities:
@@ -616,14 +614,19 @@ def _render_inline(doc: TaggedDocument) -> str:
     return b"".join(pieces).decode("utf-8")
 
 
-def _render_tabular(doc: TaggedDocument) -> str:
+def predicted_labels(doc: TaggedDocument) -> List[str]:
+    """Each token's label value, or ``"O"`` for an untagged token."""
     labels = ["O"] * len(doc.tokens)
     for e in doc.entities:
         label = LABEL_VALUE[e.label]
         for i in range(e.token_start, e.token_end):
             labels[i] = label
-    return "\n".join(f"{surface}\t{label}"
-                     for surface, label in zip(doc.tokens.surfaces, labels))
+    return labels
+
+
+def _render_tabular(doc: TaggedDocument) -> str:
+    return "\n".join(f"{surface}\t{label}" for surface, label
+                     in zip(doc.tokens.surfaces, predicted_labels(doc)))
 
 
 def entity_to_dict(e: EntitySpan) -> dict:

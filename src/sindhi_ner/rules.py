@@ -30,7 +30,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional
 
 from .gazetteer import (
     Category,
@@ -132,12 +132,10 @@ PERSON_CATEGORIES = frozenset((Category.PersonFirstName,))
 TITLE_CATEGORIES = frozenset((Category.Title, Category.Designation))
 SURNAME_CATEGORIES = frozenset((Category.Surname,))
 ABBREVIATION_CATEGORIES = frozenset((Category.Abbreviation,))
-AMBIGUOUS_CATEGORIES = frozenset((Category.AmbiguousName,))
 LOOKUP_CATEGORY_SETS = (DIRECT_CATEGORIES, PERSON_CATEGORIES, TITLE_CATEGORIES,
-                        SURNAME_CATEGORIES, ABBREVIATION_CATEGORIES,
-                        AMBIGUOUS_CATEGORIES)
+                        SURNAME_CATEGORIES, ABBREVIATION_CATEGORIES)
 
-_SUFFIX_LABELS = {
+SUFFIX_LABELS = {
     LOCATION_SUFFIX: TagLabel.LOCATION,
     PERSON_SUFFIX: TagLabel.PERSON,
     TERM_SUFFIX: TagLabel.TERM,
@@ -189,6 +187,14 @@ class Proposal(_ProposalFields):
         return cls(*iterable)
 
 
+def _run_length(norms, i: int, members) -> int:
+    """How many norms from ``i`` on are in ``members``, at most three."""
+    k = 0
+    while k < 3 and i + k < len(norms) and norms[i + k] in members:
+        k += 1
+    return k
+
+
 def sort_key(p: Proposal):
     """Total order used by conflict resolution: strongest first.
 
@@ -215,13 +221,9 @@ class RuleSet:
         # Build every lookup structure now, not on the first tagged text.
         for categories in LOOKUP_CATEGORY_SETS:
             self.gaz.match_index(categories)
-        for name in ("number_words", "org_keywords", "suffix_endings",
-                     "_suffixes_longest_first"):
+        for name in ("number_words", "org_keywords", "ambiguous_names",
+                     "suffix_endings", "_suffixes_longest_first"):
             getattr(self, name)
-
-    @staticmethod
-    def label_for_suffix_category(cat_name: str) -> TagLabel:
-        return _SUFFIX_LABELS[cat_name]
 
     @cached_property
     def number_words(self) -> frozenset:
@@ -230,6 +232,12 @@ class RuleSet:
     @cached_property
     def org_keywords(self) -> frozenset:
         return self.gaz.single_token_norms(Category.OrgKeyword)
+
+    @cached_property
+    def ambiguous_names(self) -> frozenset:
+        """The one-word names rule 6 resolves: ambiguous or first names."""
+        return (self.gaz.single_token_norms(Category.AmbiguousName)
+                | self.gaz.single_token_norms(Category.PersonFirstName))
 
     @cached_property
     def suffix_endings(self) -> tuple:
@@ -302,29 +310,20 @@ class RuleSet:
 
     # -- rule 2: word suffixes --------------------------------------------
 
-    def match_suffix_at(self, tokens, i: int) -> Optional[Proposal]:
-        """A one-token proposal of ``match_suffix``'s label at ``i``."""
-        hit = self.match_suffix(tokens[i])
-        if hit is None:
-            return None
-        return self._make(i, i + 1, hit[0], RuleId.R2_Suffix)
+    def match_suffix(self, tokens, i: int) -> Optional[Proposal]:
+        """Label the word at ``i`` by its ending, or PERSON on a person marker.
 
-    def match_suffix(self, token) -> Optional[Tuple[TagLabel, str]]:
-        """Label a single word by its ending, or by a person-marker surface.
-
-        The stem left after removing the suffix must be at least two
-        characters; marker words (whole-surface equality) are exempt.
-        Returns (label, suffix-or-marker) rather than a Proposal because
-        the caller owns the position.
+        The longest listed suffix that leaves a stem of at least two
+        characters decides; marker words (whole-norm equality) are exempt.
         """
-        if token.kind != WORD:
+        if tokens.kinds[i] != WORD:
             return None
-        n = token.norm
+        n = tokens.norms[i]
         if n in self.person_markers:
-            return TagLabel.PERSON, n
+            return self._make(i, i + 1, TagLabel.PERSON, RuleId.R2_Suffix)
         for suffix, label in self._suffixes_longest_first:
             if n.endswith(suffix) and len(n) - len(suffix) >= MIN_SUFFIX_STEM:
-                return label, suffix
+                return self._make(i, i + 1, label, RuleId.R2_Suffix)
         return None
 
     # -- rule 3: gazetteer person names -----------------------------------
@@ -383,15 +382,13 @@ class RuleSet:
     # -- rule 6: postposition disambiguation ------------------------------
 
     def resolve_postposition(self, tokens, i: int) -> Optional[Proposal]:
-        """PERSON on a known-but-ambiguous name followed by the genitive جي.
+        """PERSON on a name in ``ambiguous_names`` followed by the genitive جي.
 
         Covers only the name token itself.  The cascade skips positions
         that rules 1-5 claimed.
         """
         norms = tokens.norms
-        n = norms[i]
-        if not (self.gaz.contains((n,), Category.AmbiguousName)
-                or self.gaz.contains((n,), Category.PersonFirstName)):
+        if norms[i] not in self.ambiguous_names:
             return None
         if i + 1 < len(norms) and norms[i + 1] == POSTPOSITION_CUE:
             return self._make(i, i + 1, TagLabel.PERSON, RuleId.R6_Postposition)
@@ -401,28 +398,20 @@ class RuleSet:
 
     def match_number_words(self, tokens, i: int) -> Optional[Proposal]:
         """NUMBER over a greedy run of number words, at most three."""
-        numbers = self.number_words
-        norms = tokens.norms
-        if norms[i] not in numbers:
+        k = _run_length(tokens.norms, i, self.number_words)
+        if not k:
             return None
-        k = 1
-        while k < 3 and i + k < len(norms) and norms[i + k] in numbers:
-            k += 1
         return self._make(i, i + k, TagLabel.NUMBER, RuleId.R7_NumberWords)
 
     # -- rule 8: initials before a surname ---------------------------------
 
     def match_initials(self, tokens, i: int) -> Optional[Proposal]:
         """PERSON over one to three letter-name tokens plus a surname."""
-        letters = self.letters
-        norms = tokens.norms
-        if norms[i] not in letters:
+        run = _run_length(tokens.norms, i, self.letters)
+        if not run:
             return None
-        run = 1
-        while run < 3 and i + run < len(norms) and norms[i + run] in letters:
-            run += 1
         j = i + run
-        if j >= len(norms):
+        if j >= len(tokens.norms):
             return None
         hit = lookup_longest(self.gaz, tokens, j, SURNAME_CATEGORIES)
         if hit is None:
@@ -438,14 +427,9 @@ class RuleSet:
         double as ordinary Sindhi words (جي is also the genitive
         postposition) and are left to stronger rules.
         """
-        letters = self.letters
-        norms = tokens.norms
-        if norms[i] in letters:
-            k = 1
-            while k < 3 and i + k < len(norms) and norms[i + k] in letters:
-                k += 1
-            if k >= 2:
-                return self._make(i, i + k, TagLabel.ABBREVIATION, RuleId.R9_Abbreviation)
+        k = _run_length(tokens.norms, i, self.letters)
+        if k >= 2:
+            return self._make(i, i + k, TagLabel.ABBREVIATION, RuleId.R9_Abbreviation)
         hit = lookup_longest(self.gaz, tokens, i, ABBREVIATION_CATEGORIES)
         if hit is None:
             return None

@@ -27,6 +27,8 @@ from itertools import accumulate, compress, repeat
 from operator import add, not_, or_, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
+from .errors import InvalidInput
+
 # Characters stripped from token edges into separate punctuation tokens.
 # Arabic comma, Urdu full stop, ASCII sentence punctuation, paired
 # brackets, Arabic thousands separator, Arabic question mark.
@@ -117,30 +119,6 @@ def normalize_whitespace(raw: str) -> str:
     return " ".join(raw.split())
 
 
-def strip_edge_specials(surface: str, specials: str = EDGE_SPECIALS):
-    """Peel special characters off both edges of ``surface``.
-
-    Returns ``(core, stripped)`` where ``stripped`` lists ``(char, side)``
-    pairs, start-side chars first in text order, then end-side chars in
-    text order.  The core may be empty if the surface was all specials.
-
-    >>> strip_edge_specials("(KTN)")
-    ('KTN', [('(', 'start'), (')', 'end')])
-    """
-    special_set = _special_set(specials)
-    lo, hi = 0, len(surface)
-    stripped = []
-    while lo < hi and surface[lo] in special_set:
-        stripped.append((surface[lo], "start"))
-        lo += 1
-    end_side = []
-    while hi > lo and surface[hi - 1] in special_set:
-        end_side.append((surface[hi - 1], "end"))
-        hi -= 1
-    end_side.reverse()
-    return surface[lo:hi], stripped + end_side
-
-
 def _classify(core: str) -> str:
     if _NUMBER_RE.fullmatch(core):
         return NUMBER
@@ -205,11 +183,15 @@ def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
     Splits on single spaces, then splits edge specials off each chunk into
     punctuation tokens.  Byte spans index ``raw.encode("utf-8")`` and are
     strictly increasing; slicing those bytes reproduces each surface.
+    Raises InvalidInput for a text that UTF-8 cannot encode.
     """
     # [spaces, token, spaces, token, ..., spaces]
     parts = token_pattern(specials).split(raw)
     surfaces = tuple(parts[1::2])
-    sizes = list(map(len, map(str.encode, surfaces)))
+    try:
+        sizes = list(map(len, map(str.encode, surfaces)))
+    except UnicodeEncodeError as exc:
+        raise InvalidInput.unencodable(exc) from exc
     ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
     norms, kinds = surface_forms(surfaces, specials)
     return TokenStream(source=raw, surfaces=surfaces,

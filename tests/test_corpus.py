@@ -637,6 +637,13 @@ class TestScoring:
         assert EvalReport(10, 9).accuracy_display == "90.00%"
         assert EvalReport(936, 924).accuracy_display == "98.72%"
         assert EvalReport(3, 3).accuracy_display == "100.00%"
+        # 100 * correct / total, not 100 * accuracy, which gives 58.13%.
+        assert EvalReport(2880, 1674).accuracy_display == "58.12%"
+
+    def test_no_scored_token_displays_zero(self):
+        for report in (score_labels([], []), score_labels([[]], [[]]), EvalReport(0, 0)):
+            assert (report.accuracy, report.accuracy_display) == (0.0, "0.00%")
+            assert report.to_dict()["accuracy"] == "0.00%"
 
     def test_length_mismatch(self):
         with pytest.raises(TokenizationMismatch):

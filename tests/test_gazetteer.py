@@ -5,12 +5,15 @@ acceptance suite reuses it over 500 random gazetteers.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sindhi_ner.errors import DuplicateEntry, MalformedLine, UnknownCategory
 from sindhi_ner.gazetteer import (
     Category,
     Gazetteer,
     GazetteerEntry,
+    MAX_ENTRY_WORDS,
+    _normalize_words,
     gazetteer_stats,
     load_gazetteer,
     load_suffix_table,
@@ -18,7 +21,7 @@ from sindhi_ner.gazetteer import (
     lookup_longest,
     validate_sources,
 )
-from sindhi_ner.text import tokenize
+from sindhi_ner.text import EDGE_SPECIALS, PUNCTUATION, tokenize
 
 CATEGORY_ORDER = list(Category)
 
@@ -120,6 +123,30 @@ class TestLoad:
         with pytest.raises(DuplicateEntry) as exc:
             load_gazetteer([a, b])
         assert str(a) in str(exc.value)
+
+
+# Specials sets: the default, the default without the Urdu full stop or
+# with a space, a few ASCII marks, one holding ZWNJ and a letter, none.
+SPECIALS_SETS = (EDGE_SPECIALS, EDGE_SPECIALS.replace("۔", ""), EDGE_SPECIALS + " ",
+                 ".,()", "\u200c()a", "")
+SURFACE_CHARS = list(EDGE_SPECIALS) + ["\u200c", "ا", "ب", "ڪ", "a", "B", "1", "٣", " ", " "]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(SPECIALS_SETS), st.text(alphabet=SURFACE_CHARS, max_size=24))
+def test_entry_words_are_the_tokenizer_norms_of_the_surface(specials, surface):
+    # A data surface's words are what the tokenizer makes of the surface:
+    # the norms of its non-punctuation tokens.
+    words = surface.split()
+    malformed = (not words or len(words) > MAX_ENTRY_WORDS
+                 or any(set(word) <= set(specials) for word in words))
+    if malformed:
+        with pytest.raises(MalformedLine):
+            _normalize_words("entry.tsv", 1, surface, specials)
+        return
+    stream = tokenize(surface, specials)
+    assert _normalize_words("entry.tsv", 1, surface, specials) == tuple(
+        norm for norm, kind in zip(stream.norms, stream.kinds) if kind != PUNCTUATION)
 
 
 class TestLookupLongest:

@@ -405,6 +405,15 @@ class TestRender:
             "<PERSON>اويس جمائي</PERSON> <DATE>05.06.2016</DATE> تي "
             "<ORGANIZATION>سنڌ يونيورسٽي</ORGANIZATION> ويو")
 
+    def test_inline_source_utf8_cannot_encode_is_invalid_input(self, engine):
+        doc = engine.tag_text("اويس ويو")
+        forged = dataclasses.replace(doc, source=doc.source + " \ud800")
+        with pytest.raises(InvalidInput) as err:
+            render(forged, "inline")
+        assert err.value.code == "invalid-input"
+        assert str(err.value) == "text holds '\\ud800', which UTF-8 cannot encode"
+        assert isinstance(err.value.__cause__, UnicodeEncodeError)
+
     def test_inline_no_entities(self, engine):
         doc = engine.tag_text("هو گهر ويو")
         assert render(doc, "inline") == "هو گهر ويو"
@@ -532,7 +541,7 @@ def collect_reference(engine, stream):
             blocked.update(range(p.start, p.end))
 
     def starts(*categories):
-        return gaz.first_token_norms(categories)
+        return {e.words[0] for e in gaz.entries() if e.category in categories}
 
     def pri(rule):
         return rules.priorities[rule]
@@ -568,9 +577,9 @@ def collect_reference(engine, stream):
         if (on[RuleId.R2_Suffix] and kinds[i] == WORD and i not in covered
                 and (norms[i] in rules.person_markers
                      or norms[i].endswith(rules.suffix_endings))):
-            hit = rules.match_suffix(stream[i])
-            if hit:
-                push(Proposal(i, i + 1, hit[0], RuleId.R2_Suffix, pri(RuleId.R2_Suffix)))
+            p = rules.match_suffix(stream, i)
+            if p:
+                push(p)
     for i in positions:
         if on[RuleId.R3_GazetteerName] and norms[i] in starts(Category.PersonFirstName):
             hit = lookup_longest(gaz, stream, i, (Category.PersonFirstName,))

@@ -85,57 +85,63 @@ class TestUrlEmail:
 
 
 class TestSuffix:
+    def suffix_label(self, rules, text):
+        p = rules.match_suffix(stream(text), 0)
+        if p is None:
+            return None
+        assert (p.start, p.end, p.rule) == (0, 1, RuleId.R2_Suffix)
+        assert p.priority == rules.priorities[RuleId.R2_Suffix]
+        return p.label
+
     def test_pur(self, rules):
-        label, suffix = rules.match_suffix(stream("خيرپور")[0])
-        assert (label, suffix) == (TagLabel.LOCATION, "پور")
+        assert self.suffix_label(rules, "خيرپور") is TagLabel.LOCATION
 
     def test_abad_with_zwnj(self, rules):
-        label, suffix = rules.match_suffix(stream("اسلام‌آباد")[0])
-        assert (label, suffix) == (TagLabel.LOCATION, "آباد")
+        assert self.suffix_label(rules, "اسلام‌آباد") is TagLabel.LOCATION
 
     def test_dad(self, rules):
-        label, _ = rules.match_suffix(stream("سعيداد")[0])
-        assert label is TagLabel.PERSON
+        assert self.suffix_label(rules, "سعيداد") is TagLabel.PERSON
 
     def test_yat(self, rules):
-        label, _ = rules.match_suffix(stream("لسانيات")[0])
-        assert label is TagLabel.TERM
+        assert self.suffix_label(rules, "لسانيات") is TagLabel.TERM
 
     def test_markers(self, rules):
-        assert rules.match_suffix(stream("حسن")[0])[0] is TagLabel.PERSON
-        assert rules.match_suffix(stream("حسين")[0])[0] is TagLabel.PERSON
+        assert self.suffix_label(rules, "حسن") is TagLabel.PERSON
+        assert self.suffix_label(rules, "حسين") is TagLabel.PERSON
 
     def test_bare_suffix_stem_too_short(self, rules):
-        assert rules.match_suffix(stream("پور")[0]) is None
+        assert self.suffix_label(rules, "پور") is None
 
     def test_one_char_stem_too_short(self, rules):
-        assert rules.match_suffix(stream("ٻپور")[0]) is None
+        assert self.suffix_label(rules, "ٻپور") is None
 
     def test_number_token_no_match(self, rules):
-        assert rules.match_suffix(stream("100")[0]) is None
+        assert self.suffix_label(rules, "100") is None
+
+    def test_reads_the_token_at_its_position(self, rules):
+        p = rules.match_suffix(stream("هو خيرپور ويو"), 1)
+        assert (p.start, p.end, p.label) == (1, 2, TagLabel.LOCATION)
+        assert rules.match_suffix(stream("هو خيرپور ويو"), 2) is None
 
     def test_longest_suffix_wins_then_table_order(self, rules):
         table = {"اد": TagLabel.LOCATION, "داد": TagLabel.PERSON,
                  "يد": TagLabel.TERM, "ود": TagLabel.LOCATION}
         overlapping = dataclasses.replace(rules, suffixes=table)
-        assert overlapping.match_suffix(stream("سعيداد")[0]) == \
-            (TagLabel.PERSON, "داد")
+        assert self.suffix_label(overlapping, "سعيداد") is TagLabel.PERSON
         # A long suffix whose stem would be too short yields to a shorter one.
-        assert overlapping.match_suffix(stream("سداد")[0]) == \
-            (TagLabel.LOCATION, "اد")
-        assert dataclasses.replace(rules, suffixes=dict(reversed(table.items()))) \
-            .match_suffix(stream("سعيداد")[0]) == (TagLabel.PERSON, "داد")
+        assert self.suffix_label(overlapping, "سداد") is TagLabel.LOCATION
+        assert self.suffix_label(dataclasses.replace(
+            rules, suffixes=dict(reversed(table.items()))), "سعيداد") is TagLabel.PERSON
 
     @given(st.text(alphabet="ابتثجحخدذرزسشصضطظعغفقکلمنوહيڪڳ", min_size=0,
                    max_size=5))
     def test_stem_rule_property(self, rules, stem):
-        token = tokenize(stem + "ستان")[0] if stem else tokenize("ستان")[0]
-        hit = rules.match_suffix(token)
-        if len(stem) >= 2:
-            assert hit is not None and hit[0] is TagLabel.LOCATION
-        elif token.norm not in rules.person_markers:
-            assert hit is None or hit[1] != "ستان" or \
-                len(token.norm) - len("ستان") >= 2
+        # With ستان the only suffix and no markers, a word ending in it is
+        # a LOCATION exactly when at least two characters precede it.
+        only = dataclasses.replace(rules, suffixes={"ستان": TagLabel.LOCATION},
+                                   person_markers=frozenset())
+        label = self.suffix_label(only, stem + "ستان")
+        assert label is (TagLabel.LOCATION if len(stem) >= 2 else None)
 
 
 class TestTitleDesignation:

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sindhi_ner.errors import InvalidInput
 from sindhi_ner.text import (
     EDGE_SPECIALS,
     NUMBER,
@@ -13,7 +14,6 @@ from sindhi_ner.text import (
     TokenStream,
     WORD,
     normalize_whitespace,
-    strip_edge_specials,
     tokenize,
 )
 
@@ -38,28 +38,6 @@ class TestNormalizeWhitespace:
     @given(st.text())
     def test_only_whitespace_touched(self, s):
         assert normalize_whitespace(s) == " ".join(s.split())
-
-
-class TestStripEdgeSpecials:
-    def test_both_sides(self):
-        core, stripped = strip_edge_specials("(KTN)")
-        assert core == "KTN"
-        assert stripped == [("(", "start"), (")", "end")]
-
-    def test_all_specials(self):
-        core, stripped = strip_edge_specials("!?")
-        assert core == ""
-        assert [c for c, _ in stripped] == ["!", "?"]
-
-    def test_internal_specials_kept(self):
-        core, stripped = strip_edge_specials("a.b")
-        assert core == "a.b"
-        assert stripped == []
-
-    def test_multiple_at_one_edge(self):
-        core, stripped = strip_edge_specials("اويس،۔")
-        assert core == "اويس"
-        assert stripped == [("،", "end"), ("۔", "end")]
 
 
 class TestTokenize:
@@ -128,6 +106,14 @@ class TestTokenize:
                         norms=stream.norms[:1], kinds=stream.kinds)
         with pytest.raises(TypeError):
             TokenStream(source="abc")
+
+    @pytest.mark.parametrize("text", ["a \ud800 b", "\udfff", "اويس،\udc80"])
+    def test_text_utf8_cannot_encode_is_invalid_input(self, text):
+        with pytest.raises(InvalidInput) as err:
+            tokenize(text)
+        assert err.value.code == "invalid-input"
+        assert "which UTF-8 cannot encode" in str(err.value)
+        assert isinstance(err.value.__cause__, UnicodeEncodeError)
 
     def test_byte_spans_strictly_increase(self):
         stream = tokenize("اويس، ويو 10:40")
