@@ -21,23 +21,20 @@ from typing import Optional, Sequence
 
 from .corpus import CorpusStore, evaluate, load_gold
 from .errors import (
-    DuplicateEntry,
     InvalidInput,
+    MalformedLine,
     MissingDataFile,
     NerError,
     TornRecordWarning,
 )
 from .gazetteer import (
     Category,
-    LETTER_NAME,
-    MONTH_NAME,
-    STOPWORD,
     gazetteer_stats,
+    is_skipped_line,
     load_gazetteer,
+    parse_entry,
     read_lines,
     validate_sources,
-    _normalize_words,
-    _parse_category,
 )
 from .pipeline import (
     EngineConfig,
@@ -71,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tag.add_argument("--store", metavar="PATH",
                        help="append tagged documents to this store")
     p_tag.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="tag input files in parallel (output stays in order)")
+                       help="tag input files on N threads (output stays in order)")
     add_config(p_tag)
 
     p_eval = sub.add_parser("eval", help="score the engine against a gold corpus")
@@ -205,17 +202,6 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _word_list_specs(config: EngineConfig):
-    """The word lists in ``build_engine``'s load order, so the first
-    problem ``check`` lists is the error ``tag`` fails on."""
-    return [
-        (config.suffixes, None),
-        (config.months, MONTH_NAME),
-        (config.letters, LETTER_NAME),
-        (config.stopwords, STOPWORD),
-    ]
-
-
 def _cmd_gazetteer(args) -> int:
     config = _resolve_config(args)
     if args.action == "list":
@@ -224,7 +210,7 @@ def _cmd_gazetteer(args) -> int:
             sys.stdout.write(f"{category.value}\t{stats[category]}\n")
         return 0
     if args.action == "check":
-        problems = validate_sources(config.gazetteers, _word_list_specs(config),
+        problems = validate_sources(config.gazetteers, config.word_lists,
                                     config.synonyms, config.edge_specials)
         if problems:
             print(f"error:invalid-data: {len(problems)} problem(s) found",
@@ -239,25 +225,29 @@ def _cmd_gazetteer(args) -> int:
 
 def _gazetteer_add(args, config: EngineConfig) -> int:
     target = Path(args.file)
-    lines = list(read_lines(target)) if target.exists() else []
-    lineno = len(lines) + 1
-    category = _parse_category(target, lineno, args.category)
-    words = _normalize_words(target, lineno, args.surface, config.edge_specials)
     paths = list(config.gazetteers)
     if target.exists() and target.resolve() not in {p.resolve() for p in paths}:
         paths.append(target)
     merged = load_gazetteer([p for p in paths if Path(p).is_file()],
                             config.edge_specials)
-    if merged.contains(words, category):
-        raise DuplicateEntry(
-            target, lineno,
-            f"duplicate entry {' '.join(words)!r} / {category.value}")
-    # The normalized words, which the loaders and ``check`` accept.
-    entry = f"{' '.join(words)}\t{category.value}\n"
-    with open(target, "a", encoding="utf-8") as fh:
+    seen = {(e.words, e.category): e.source for e in merged.entries()}
+    lines = list(read_lines(target)) if target.exists() else []
+    lineno = len(lines) + 1
+    # The argument is read as the loaders read a line of the target.
+    entry = parse_entry(target, lineno, args.surface, args.category,
+                        config.edge_specials, seen)
+    line = f"{entry.surface}\t{entry.category.value}\n"
+    if is_skipped_line(line.strip()):
+        raise MalformedLine(target, lineno,
+                            f"entry {entry.surface!r} would be read as a comment")
+    try:
+        data = line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidInput.unencodable(exc) from exc
+    with open(target, "ab") as fh:
         # A last line without a newline is ended first, as the store does.
-        fh.write(entry if not lines or lines[-1][1].endswith("\n") else "\n" + entry)
-    sys.stdout.write(entry)
+        fh.write(data if not lines or lines[-1][1].endswith("\n") else b"\n" + data)
+    sys.stdout.write(line)
     return 0
 
 

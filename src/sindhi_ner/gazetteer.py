@@ -81,9 +81,6 @@ class Gazetteer:
     def entries(self) -> Iterator[GazetteerEntry]:
         return iter(self._entries)
 
-    def contains(self, words: Sequence[str], category: Category) -> bool:
-        return tuple(words) in self.match_index(frozenset((category,)))[1]
-
     def single_token_norms(self, category: Category) -> frozenset:
         """All 1-word surfaces stored under ``category``."""
         return frozenset(
@@ -185,18 +182,23 @@ def read_lines(path) -> Iterator[Tuple[int, str]]:
         raise
 
 
+def is_skipped_line(line: str) -> bool:
+    """Whether the loaders skip a stripped data or config line: blank or ``#``."""
+    return not line or line.startswith("#")
+
+
 def _iter_tsv(path, parse, malformed=None) -> Iterator:
     """``parse(lineno, first, second)`` for each data line of a TSV file,
     or the NerError it raises.
 
     A line that is not two tab-separated fields gives ``malformed(lineno)``,
-    by default a MalformedLine asking for SURFACE<TAB>CATEGORY.  Blank
-    lines and ``#`` comments are skipped.  Opening or decoding the file
+    by default a MalformedLine asking for SURFACE<TAB>CATEGORY.  Lines
+    that is_skipped_line picks are skipped.  Opening or decoding the file
     raises what read_lines raises, before anything is yielded.
     """
     for lineno, raw in read_lines(path):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if is_skipped_line(line):
             continue
         # strip() took any tab at the line's edges, so two fields are
         # both non-empty.
@@ -245,26 +247,29 @@ def _parse_category(path, lineno: int, name: str) -> Category:
         raise UnknownCategory(path, lineno, f"unknown category {name!r}") from None
 
 
-def _iter_gazetteer(path, specials: str, seen: Dict) -> Iterator:
-    """The entries of one gazetteer file, or the error of each bad line.
+def parse_entry(path, lineno: int, surface: str, cat_name: str, specials: str,
+                seen: Dict) -> GazetteerEntry:
+    """The entry of one gazetteer line, as every loader reads it.  ``seen``
+    maps each (words, category) taken so far to where it was first seen:
+    a repeat is a DuplicateEntry, and a new entry is added."""
+    category = _parse_category(path, lineno, cat_name)
+    words = _normalize_words(path, lineno, surface, specials)
+    key = (words, category)
+    if key in seen:
+        raise DuplicateEntry(
+            path, lineno,
+            f"duplicate entry {' '.join(words)!r} / {category.value}"
+            f" (first seen at {seen[key]})")
+    source = seen[key] = f"{path}:{lineno}"
+    return GazetteerEntry(surface=" ".join(words), words=words,
+                          category=category, source=source)
 
-    ``seen`` maps every (words, category) taken so far, in this file or
-    an earlier one, to where it was first seen; a repeat is a
-    DuplicateEntry.
-    """
-    def parse(lineno, surface, cat_name):
-        category = _parse_category(path, lineno, cat_name)
-        words = _normalize_words(path, lineno, surface, specials)
-        key = (words, category)
-        if key in seen:
-            raise DuplicateEntry(
-                path, lineno,
-                f"duplicate entry {' '.join(words)!r} / {category.value}"
-                f" (first seen at {seen[key]})")
-        source = seen[key] = f"{path}:{lineno}"
-        return GazetteerEntry(surface=" ".join(words), words=words,
-                              category=category, source=source)
-    return _iter_tsv(path, parse)
+
+def _iter_gazetteer(path, specials: str, seen: Dict) -> Iterator:
+    """The entries of one gazetteer file, or the error of each bad line;
+    ``seen`` is parse_entry's, holding the entries of earlier files."""
+    return _iter_tsv(path, lambda lineno, surface, cat_name: parse_entry(
+        path, lineno, surface, cat_name, specials, seen))
 
 
 def _iter_words(path, category: Optional[str], specials: str) -> Iterator:
@@ -349,13 +354,12 @@ def validate_sources(gazetteer_paths: Sequence, word_lists: Sequence,
     ``word_lists`` is a sequence of (path, reserved category, or None for
     the suffix table); ``synonyms`` is the synonym map's path, if any.
     Each file is read by the generator its loader reads it with, so each
-    message is the error that loader would raise, and when the files are
-    given in ``build_engine``'s load order (gazetteers, suffixes, months,
-    letters, stopwords, synonyms) the first message is the error
-    ``build_engine`` fails on.  A file that is missing, cannot be opened
-    or cannot be decoded is one problem: the MissingDataFile message,
-    ``<path>: <error>`` or ``<path>:<line>: not valid UTF-8``; the other
-    files are still checked.
+    message is the error that loader would raise, and when the word lists
+    are given in ``build_engine``'s load order (``EngineConfig.word_lists``)
+    the first message is the error ``build_engine`` fails on.  A file that
+    is missing, cannot be opened or cannot be decoded is one problem: the
+    MissingDataFile message, ``<path>: <error>`` or ``<path>:<line>: not
+    valid UTF-8``; the other files are still checked.
     """
     seen: Dict[Tuple[Tuple[str, ...], Category], str] = {}
     files = [(path, _iter_gazetteer(path, specials, seen)) for path in gazetteer_paths]

@@ -31,6 +31,7 @@ from .gazetteer import (
     LETTER_NAME,
     MONTH_NAME,
     STOPWORD,
+    is_skipped_line,
     load_gazetteer,
     load_suffix_table,
     load_synonyms,
@@ -116,9 +117,9 @@ class EntitySpan(NamedTuple):
 
 # Getters of single EntitySpan fields, for code that reads one field of
 # many spans in C.  They index the tuple by the field order above.
-(SPAN_TOKEN_START, SPAN_TOKEN_END, SPAN_LABEL, SPAN_RULE, SPAN_SURFACE) = (
+(SPAN_TOKEN_START, SPAN_TOKEN_END, SPAN_RULE, SPAN_SURFACE) = (
     itemgetter(EntitySpan._fields.index(name))
-    for name in ("token_start", "token_end", "label", "rule", "surface"))
+    for name in ("token_start", "token_end", "rule", "surface"))
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,17 @@ class EngineConfig:
     def with_gazetteers(self, paths: Sequence[Path]) -> "EngineConfig":
         return replace(self, gazetteers=tuple(Path(p) for p in paths))
 
+    @property
+    def word_lists(self) -> Tuple[Tuple[Path, Optional[str]], ...]:
+        """(path, reserved category) of each word list in the order
+        ``build_engine`` loads them; the suffix table's category is None."""
+        return ((self.suffixes, None), (self.months, MONTH_NAME),
+                (self.letters, LETTER_NAME), (self.stopwords, STOPWORD))
+
 
 def load_config(path) -> EngineConfig:
-    """Parse a flat key=value config file into an EngineConfig."""
+    """Parse a flat key=value config file into an EngineConfig.  A key
+    with an empty value, like an absent key, keeps its field's default."""
     path = Path(path)
     base = path.parent
     values: Dict[str, object] = {}
@@ -172,7 +181,7 @@ def load_config(path) -> EngineConfig:
     priorities: Dict[RuleId, int] = {}
     for lineno, raw in read_lines(path):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if is_skipped_line(line):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
@@ -194,23 +203,14 @@ def load_config(path) -> EngineConfig:
         elif key in _PATH_KEYS:
             values[key] = base / value if value else None
         elif key == "edge_specials":
-            values[key] = value or EDGE_SPECIALS
+            values[key] = value
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     for required in (_GAZETTEER_KEYS, "suffixes", "stopwords", "months", "letters"):
         if not values.get(required):
             raise ConfigError(f"{path}: missing required key {required!r}")
-    return EngineConfig(
-        gazetteers=values[_GAZETTEER_KEYS],
-        suffixes=values["suffixes"],
-        stopwords=values["stopwords"],
-        months=values["months"],
-        letters=values["letters"],
-        synonyms=values.get("synonyms"),
-        edge_specials=values.get("edge_specials", EDGE_SPECIALS),
-        rule_flags=rule_flags,
-        priorities=priorities,
-    )
+    return EngineConfig(**{key: value for key, value in values.items() if value},
+                        rule_flags=rule_flags, priorities=priorities)
 
 
 def _parse_rule_id(path, lineno, name: str) -> RuleId:
@@ -360,21 +360,24 @@ class Engine:
 def build_engine(config: Optional[EngineConfig] = None) -> Engine:
     """Load all configured data files and assemble an Engine.
 
-    The files load in the order gazetteers, suffixes, months, letters,
-    stopwords, synonyms.  The first missing file or bad line in that
-    order raises: MissingDataFile for a missing file, and for a bad line
-    the loader's error, with file and line number.
+    The files load in the order gazetteers, ``config.word_lists``,
+    synonyms.  The first missing file or bad line in that order raises:
+    MissingDataFile for a missing file, and for a bad line the loader's
+    error, with file and line number.
     """
     if config is None:
         config = EngineConfig.default()
     specials = config.edge_specials
     gaz = load_gazetteer(config.gazetteers, specials)
-    suffix_cats, markers = load_suffix_table(config.suffixes, specials)
+    lists = {category: load_word_list(path, category, specials) if category
+             else load_suffix_table(path, specials)
+             for path, category in config.word_lists}
+    suffix_cats, markers = lists[None]
     rules = RuleSet(
         gaz=gaz,
-        months=load_word_list(config.months, MONTH_NAME, specials),
-        letters=load_word_list(config.letters, LETTER_NAME, specials),
-        stopwords=load_word_list(config.stopwords, STOPWORD, specials),
+        months=lists[MONTH_NAME],
+        letters=lists[LETTER_NAME],
+        stopwords=lists[STOPWORD],
         suffixes={sfx: SUFFIX_LABELS[cat] for sfx, cat in suffix_cats.items()},
         person_markers=markers,
         priorities={**DEFAULT_PRIORITIES, **config.priorities},

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sindhi_ner
-from sindhi_ner.cli import CONFIG_ENV_VAR, _word_list_specs, main
+from sindhi_ner.cli import CONFIG_ENV_VAR, main
 from sindhi_ner.corpus import CorpusStore
 from sindhi_ner.errors import NerError
 from sindhi_ner.gazetteer import Category, load_gazetteer, validate_sources
@@ -505,8 +505,44 @@ class TestGazetteer:
         capsys.readouterr()
         assert main(["gazetteer", "add", "نئون شهر", "Location",
                      "--file", str(target)]) == 1
-        assert capsys.readouterr().err.startswith("error:duplicate-entry: ")
+        message = (f"{target}:2: duplicate entry 'نئون شهر' / Location"
+                   f" (first seen at {target}:1)")
+        assert capsys.readouterr().err.splitlines() == [f"error:duplicate-entry: {message}"]
         assert len(target.read_text("utf-8").splitlines()) == 1
+        # check prints the same message for the same line written by hand.
+        with open(target, "a", encoding="utf-8") as fh:
+            fh.write("نئون شهر\tLocation\n")
+        assert main(["gazetteer", "check", "--gazetteer", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [message]
+
+    @pytest.mark.parametrize("surface", ["#foo", "(#foo"])
+    def test_add_refuses_an_entry_read_as_a_comment(self, tmp_path, capsys, surface):
+        target = tmp_path / "extra.tsv"
+        target.write_bytes("نئون شهر\tLocation\n".encode())
+        assert main(["gazetteer", "add", surface, "Location",
+                     "--file", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:malformed-line: {target}:2: entry '#foo' would be read as a comment"]
+        assert target.read_bytes() == "نئون شهر\tLocation\n".encode()
+
+    def test_add_refuses_text_utf8_cannot_encode(self, tmp_path, capsys):
+        # Argv bytes that are not UTF-8 arrive as lone surrogates.
+        target = tmp_path / "x.tsv"
+        assert main(["gazetteer", "add", "\udcff", "Location",
+                     "--file", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "error:invalid-input: text holds '\\udcff', which UTF-8 cannot encode")
+        assert not target.exists()
+
+    def test_add_reports_a_bad_configured_file_before_the_argument(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("سنڌ\tNope\n", encoding="utf-8")
+        target = tmp_path / "extra.tsv"
+        assert main(["gazetteer", "add", "اويس", "Nope", "--gazetteer", str(bad),
+                     "--file", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:unknown-category: {bad}:1: unknown category 'Nope'"]
+        assert not target.exists()
 
     def test_add_closes_target_file(self, tmp_path, capsys):
         # The scenario of test_add_refuses_duplicate_in_target leaves no
@@ -547,6 +583,45 @@ class TestGazetteer:
         feed_stdin(monkeypatch, "هو مرڪزوال ويو")
         assert main(["tag", "--config", str(config)]) == 0
         assert "<LOCATION>مرڪزوال</LOCATION>" in capsys.readouterr().out
+
+
+# Words of drawn gazetteer surfaces: "#", edge specials, ZWNJ, Latin and
+# Arabic letters and digits.
+ADD_WORDS = st.text("#" + EDGE_SPECIALS + "\u200caBz9سنڌ۳", min_size=1, max_size=4)
+# Targets: absent, empty, or holding an entry, a comment and an
+# unterminated last line.
+ADD_TARGETS = [None, "", "a\tLocation\n# note\n", "a\tLocation\nسنڌ\tTerm"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(words=st.lists(ADD_WORDS, min_size=1, max_size=4),
+       separators=st.lists(st.sampled_from([" ", "\t", " \t "]), min_size=3, max_size=3),
+       category=st.sampled_from([c.value for c in Category] + ["Nope"]),
+       before=st.sampled_from(ADD_TARGETS))
+def test_add_writes_what_the_loaders_read_back(words, separators, category, before):
+    surface = words[0] + "".join(sep + word for sep, word in zip(separators, words[1:]))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "extra.tsv"
+        if before is not None:
+            target.write_text(before, encoding="utf-8")
+        old_bytes = target.read_bytes() if before is not None else None
+        old_entries = list(load_gazetteer([target]).entries()) if before else []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gazetteer", "add", surface, category, "--file", str(target)])
+        if code == 1:
+            assert ERROR_PREFIX.match(err.getvalue().splitlines()[0]), err.getvalue()
+            assert (target.read_bytes() if target.exists() else None) == old_bytes
+            return
+        assert code == 0 and err.getvalue() == ""
+        printed = out.getvalue()
+        assert [f"{e.surface}\t{e.category.value}\n"
+                for e in load_gazetteer([target]).entries()] == [
+            f"{e.surface}\t{e.category.value}\n" for e in old_entries] + [printed]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["gazetteer", "check", "--gazetteer", str(target)]) == 0
+        assert out.getvalue() == "OK\n"
 
 
 # The data files build_engine reads (the gold corpus and config are not).
@@ -603,7 +678,7 @@ def test_check_lists_what_build_engine_fails_on(data):
             _damage(data, directory)
         config_path = directory / "engine.conf"
         config = load_config(config_path)
-        problems = validate_sources(config.gazetteers, _word_list_specs(config),
+        problems = validate_sources(config.gazetteers, config.word_lists,
                                     config.synonyms, config.edge_specials)
         try:
             build_engine(config)

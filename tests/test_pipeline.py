@@ -72,12 +72,17 @@ class TestLoadConfig:
         for name in ("suffixes", "stopwords", "months", "letters"):
             (tmp_path / f"{name}.tsv").write_text("", "utf-8")
         path = tmp_path / "c.conf"
-        path.write_text(
-            "gazetteers=g.tsv\nsuffixes=suffixes.tsv\nstopwords=stopwords.tsv\n"
-            "months=months.tsv\nletters=letters.tsv\n", "utf-8")
-        config = load_config(path)
-        assert config.gazetteers == (tmp_path / "g.tsv",)
-        assert config.stopwords == tmp_path / "stopwords.tsv"
+        # An empty edge_specials or synonyms value, like an absent key,
+        # keeps the field's default.
+        for extra in ("", "edge_specials=\nsynonyms=\n"):
+            path.write_text(
+                "gazetteers=g.tsv\nsuffixes=suffixes.tsv\nstopwords=stopwords.tsv\n"
+                "months=months.tsv\nletters=letters.tsv\n" + extra, "utf-8")
+            config = load_config(path)
+            assert config.gazetteers == (tmp_path / "g.tsv",)
+            assert config.stopwords == tmp_path / "stopwords.tsv"
+            assert config.edge_specials == EDGE_SPECIALS
+            assert config.synonyms is None
 
     def test_rule_flags_and_priorities(self, tmp_path):
         path = write_config(tmp_path, extra_lines=(
@@ -345,7 +350,7 @@ def test_added_entry_keeps_date_time_url_email_spans(engine, data):
         words = _normalize_words("entry", 1, surface)
     except MalformedLine:
         assume(False)
-    assume(not engine.gaz.contains(words, category))
+    assume(words not in engine.gaz.match_index(frozenset((category,)))[1])
     with tempfile.TemporaryDirectory() as tmp:
         extra = Path(tmp) / "extra.tsv"
         extra.write_text(f"{surface}\t{category.value}\n", "utf-8")
