@@ -240,6 +240,10 @@ def _gazetteer_add(args, config: EngineConfig) -> int:
     if is_skipped_line(line.strip()):
         raise MalformedLine(target, lineno,
                             f"entry {entry.surface!r} would be read as a comment")
+    if lineno == 1 and line.startswith("\ufeff"):
+        # read_lines drops a byte-order mark that starts a file.
+        raise MalformedLine(target, lineno,
+                            f"entry {entry.surface!r} would lose its leading byte-order mark")
     try:
         data = line.encode("utf-8")
     except UnicodeEncodeError as exc:

@@ -116,21 +116,16 @@ def lookup_longest(gaz: Gazetteer, tokens, i: int,
                    categories: Optional[Iterable[Category]] = None):
     """Longest entry matching token norms at position ``i``.
 
-    ``tokens`` is a TokenStream, whose ``norms`` column is compared, or
-    any sequence of Tokens.  Tries window sizes 3, 2, 1 and returns
-    ``(entry, match_length)`` for the first hit, or None.  Never reads
-    past ``tokens[i + 2]``.  Ties at the same length across categories
-    resolve in Category order.  Raises IndexError when ``i`` is outside
-    the stream.
+    ``tokens`` is a TokenStream, whose ``norms`` column is compared.
+    Tries window sizes 3, 2, 1 and returns ``(entry, match_length)`` for
+    the first hit, or None.  Never reads past ``tokens.norms[i + 2]``.
+    Ties at the same length across categories resolve in Category order.
+    Raises IndexError when ``i`` is outside the stream.
     """
-    norms = getattr(tokens, "norms", None)
-    n = len(tokens if norms is None else norms)
+    norms = tokens.norms
+    n = len(norms)
     if not 0 <= i < n:
         raise IndexError(f"token position {i} out of range 0..{n - 1}")
-    if norms is None:
-        # A plain sequence of Tokens: read the window's norms only.
-        norms = tuple(t.norm for t in tokens[i:i + MAX_ENTRY_WORDS])
-        i, n = 0, len(norms)
     first_max, best = gaz.match_index(None if categories is None else frozenset(categories))
     k = min(first_max.get(norms[i], 0), n - i)
     while k:

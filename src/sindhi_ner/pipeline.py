@@ -235,10 +235,8 @@ class Engine:
     A private memo maps each token surface the engine has tagged to its
     byte size, norm (synonyms applied), kind and gate bits.  It is filled
     while tagging, never when the engine is built, and cleared once it
-    holds more than ``_MEMO_CAP`` surfaces.  A text whose surfaces are
-    mostly new adds them only while the memo is under half full, so text
-    that never repeats a surface does not keep refilling it.  Entries
-    depend on the surface alone: the memo changes no output, and threads
+    holds more than ``_MEMO_CAP`` surfaces.  Entries depend on the
+    surface alone: the memo changes no output, and threads
     may share an engine, since each reads and writes the memo with single
     dict calls.
     """
@@ -253,6 +251,9 @@ class Engine:
             rule: bool(config.rule_flags.get(rule, True)) for rule in RuleId}
         # Scan gates: a rule can start a match only at a norm that carries
         # its gate bit, so one pass over the norms finds every candidate.
+        # The table, with the suffix probes below, builds the gazetteer's
+        # lookup index of every category set the cascade looks up and every
+        # cached RuleSet value, so tagging builds none of them.
         gate_sets = (
             (_DIRECT, gaz.match_index(DIRECT_CATEGORIES)[0]),
             (_TITLE, gaz.match_index(TITLE_CATEGORIES)[0]),
@@ -290,31 +291,22 @@ class Engine:
         The stream equals ``tokenize(source, edge_specials)`` with the
         synonym map applied to its norms.  Each token costs one memo
         lookup, and the surfaces the memo lacks are classified in one
-        batch and added to it.  A text that lacks at least half of its
-        surfaces is classified whole, as ``tokenize`` does, and adds them
-        only while the memo is under half full.
+        batch and added to it.
         """
         parts = self._split(source)   # [spaces, token, spaces, ..., spaces]
         surfaces = tuple(parts[1::2])
         memo = self._memo
         entries = list(map(memo.get, surfaces))
-        misses = entries.count(None)
-        if misses * 2 >= len(entries):
-            sizes, norms, kinds, bits = self._classify(surfaces)
-            if len(memo) * 2 < _MEMO_CAP:
-                memo.update(zip(surfaces, zip(sizes, norms, kinds, bits)))
-            norms, kinds = tuple(norms), tuple(kinds)
-        else:
-            if misses:
-                fresh = list(compress(surfaces, map(is_, entries, repeat(None))))
-                learned = dict(zip(fresh, zip(*self._classify(fresh))))
-                # The new entries are read from ``learned``: another
-                # thread may clear the memo at any time.
-                entries = list(map(learned.get, surfaces, entries))
-                memo.update(learned)
-            sizes, norms, kinds, bits = zip(*entries)
-        if len(memo) > _MEMO_CAP:
-            memo.clear()
+        if None in entries:
+            fresh = list(compress(surfaces, map(is_, entries, repeat(None))))
+            learned = dict(zip(fresh, zip(*self._classify(fresh))))
+            # The new entries are read from ``learned``: another thread
+            # may clear the memo at any time.
+            entries = list(map(learned.get, surfaces, entries))
+            memo.update(learned)
+            if len(memo) > _MEMO_CAP:
+                memo.clear()
+        sizes, norms, kinds, bits = zip(*entries) if entries else ((),) * 4
         ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
         stream = TokenStream(source=source, surfaces=surfaces,
                              starts=tuple(map(sub, ends, sizes)), ends=ends,

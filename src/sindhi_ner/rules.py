@@ -123,17 +123,15 @@ DIRECT_LABELS = {
     Category.Abbreviation: TagLabel.ABBREVIATION,
 }
 
-# Category sets the cascade looks up while tagging.  RuleSet builds the
-# gazetteer's lookup index of every set in LOOKUP_CATEGORY_SETS when it is
-# made, so no index is built inside tag_text; a new hot-path set belongs
-# there too.
+# Category sets the cascade looks up while tagging.  The engine's gate
+# table (``pipeline.Engine.__init__``) builds the gazetteer's lookup index
+# of each set, so no index is built inside tag_text; a new hot-path set
+# belongs in that table too.
 DIRECT_CATEGORIES = frozenset(DIRECT_LABELS)
 PERSON_CATEGORIES = frozenset((Category.PersonFirstName,))
 TITLE_CATEGORIES = frozenset((Category.Title, Category.Designation))
 SURNAME_CATEGORIES = frozenset((Category.Surname,))
 ABBREVIATION_CATEGORIES = frozenset((Category.Abbreviation,))
-LOOKUP_CATEGORY_SETS = (DIRECT_CATEGORIES, PERSON_CATEGORIES, TITLE_CATEGORIES,
-                        SURNAME_CATEGORIES, ABBREVIATION_CATEGORIES)
 
 SUFFIX_LABELS = {
     LOCATION_SUFFIX: TagLabel.LOCATION,
@@ -207,7 +205,11 @@ def sort_key(p: Proposal):
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Matchers bound to their data: gazetteer, word lists, suffix table."""
+    """Matchers bound to their data: gazetteer, word lists, suffix table.
+
+    The values below are cached on first use.  The engine reads each of
+    them when it is built, so tagging builds none.
+    """
 
     gaz: Gazetteer
     months: FrozenSet[str]
@@ -216,14 +218,6 @@ class RuleSet:
     suffixes: Dict[str, TagLabel]
     person_markers: FrozenSet[str]
     priorities: Dict[RuleId, int]
-
-    def __post_init__(self):
-        # Build every lookup structure now, not on the first tagged text.
-        for categories in LOOKUP_CATEGORY_SETS:
-            self.gaz.match_index(categories)
-        for name in ("number_words", "org_keywords", "ambiguous_names",
-                     "suffix_endings", "_suffixes_longest_first"):
-            getattr(self, name)
 
     @cached_property
     def number_words(self) -> frozenset:
@@ -241,12 +235,9 @@ class RuleSet:
 
     @cached_property
     def suffix_endings(self) -> tuple:
-        return tuple(self.suffixes)
-
-    @cached_property
-    def _suffixes_longest_first(self) -> tuple:
-        # Stable: among suffixes of one length, table order decides.
-        return tuple(sorted(self.suffixes.items(), key=lambda item: -len(item[0])))
+        """The listed suffixes, longest first; among suffixes of one
+        length, table order decides."""
+        return tuple(sorted(self.suffixes, key=len, reverse=True))
 
     def _make(self, start: int, end: int, label: TagLabel, rule: RuleId) -> Proposal:
         return Proposal(start, end, label, rule, self.priorities[rule])
@@ -321,9 +312,9 @@ class RuleSet:
         n = tokens.norms[i]
         if n in self.person_markers:
             return self._make(i, i + 1, TagLabel.PERSON, RuleId.R2_Suffix)
-        for suffix, label in self._suffixes_longest_first:
+        for suffix in self.suffix_endings:
             if n.endswith(suffix) and len(n) - len(suffix) >= MIN_SUFFIX_STEM:
-                return self._make(i, i + 1, label, RuleId.R2_Suffix)
+                return self._make(i, i + 1, self.suffixes[suffix], RuleId.R2_Suffix)
         return None
 
     # -- rule 3: gazetteer person names -----------------------------------

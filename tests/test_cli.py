@@ -525,6 +525,28 @@ class TestGazetteer:
             f"error:malformed-line: {target}:2: entry '#foo' would be read as a comment"]
         assert target.read_bytes() == "نئون شهر\tLocation\n".encode()
 
+    @pytest.mark.parametrize("before", [None, b""])
+    def test_add_refuses_a_leading_byte_order_mark_on_line_1(self, tmp_path, capsys,
+                                                             before):
+        target = tmp_path / "extra.tsv"
+        if before is not None:
+            target.write_bytes(before)
+        assert main(["gazetteer", "add", "\ufefffoo", "Location",
+                     "--file", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:malformed-line: {target}:1: entry '\\ufefffoo' would lose"
+            " its leading byte-order mark"]
+        assert (target.read_bytes() if target.exists() else None) == before
+
+    def test_add_keeps_a_byte_order_mark_after_line_1(self, tmp_path, capsys):
+        target = tmp_path / "extra.tsv"
+        target.write_bytes("نئون شهر\tLocation\n".encode())
+        assert main(["gazetteer", "add", "\ufefffoo", "Location",
+                     "--file", str(target)]) == 0
+        assert capsys.readouterr().out == "\ufefffoo\tLocation\n"
+        assert [e.surface for e in load_gazetteer([target]).entries()] == [
+            "نئون شهر", "\ufefffoo"]
+
     def test_add_refuses_text_utf8_cannot_encode(self, tmp_path, capsys):
         # Argv bytes that are not UTF-8 arrive as lone surrogates.
         target = tmp_path / "x.tsv"
@@ -585,9 +607,9 @@ class TestGazetteer:
         assert "<LOCATION>مرڪزوال</LOCATION>" in capsys.readouterr().out
 
 
-# Words of drawn gazetteer surfaces: "#", edge specials, ZWNJ, Latin and
-# Arabic letters and digits.
-ADD_WORDS = st.text("#" + EDGE_SPECIALS + "\u200caBz9سنڌ۳", min_size=1, max_size=4)
+# Words of drawn gazetteer surfaces: "#", edge specials, ZWNJ, the
+# byte-order mark, Latin and Arabic letters and digits.
+ADD_WORDS = st.text("#" + EDGE_SPECIALS + "\u200c\ufeffaBz9سنڌ۳", min_size=1, max_size=4)
 # Targets: absent, empty, or holding an entry, a comment and an
 # unterminated last line.
 ADD_TARGETS = [None, "", "a\tLocation\n# note\n", "a\tLocation\nسنڌ\tTerm"]

@@ -202,16 +202,6 @@ class TestLookupLongest:
                 assert (got[0].words, got[0].category, got[1]) == \
                     (want[0].words, want[0].category, want[1])
 
-    def test_plain_token_sequence_matches_stream(self, engine):
-        stream = tokenize("اويس جمائي وزير اعظم ڪراچي پورٽ ٽرسٽ ويو")
-        tokens = list(stream)
-        for categories in (None, (Category.Location,), (Category.Surname,)):
-            for i in range(len(stream)):
-                assert lookup_longest(engine.gaz, tokens, i, categories) == \
-                    lookup_longest(engine.gaz, stream, i, categories)
-        with pytest.raises(IndexError):
-            lookup_longest(engine.gaz, tokens, len(tokens))
-
 
 class TestWordLists:
     def test_load_word_list(self, tmp_path):

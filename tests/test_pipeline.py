@@ -845,6 +845,48 @@ def test_bench_hooks_count_every_matcher(engine, monkeypatch):
     assert [m for m in MATCHERS if not recorder.calls[f"rules.{m}"]] == []
 
 
+@pytest.fixture(scope="module")
+def rule_off_engines(tmp_path_factory):
+    """One engine per rule, built from a config that switches that rule off."""
+    tmp = tmp_path_factory.mktemp("rule_off")
+    engines = {}
+    for rule in RuleId:
+        directory = tmp / rule.name
+        directory.mkdir()
+        path = write_config(directory, extra_lines=[f"rule.{rule.name}=off"])
+        engines[rule] = build_engine(load_config(path))
+    return engines
+
+
+def test_a_rule_switched_off_leaves_the_texts_it_fires_on(engine, rule_off_engines):
+    # Each rule tags some coverage text when on, and none when off.
+    texts = COVERAGE_TEXTS + GATED
+    for rule, muted in rule_off_engines.items():
+        assert any(e.rule is rule for t in texts for e in engine.tag_text(t).entities), rule
+        assert not any(e.rule is rule for t in texts for e in muted.tag_text(t).entities), rule
+
+
+@pytest.mark.parametrize("rule", list(RuleId), ids=lambda rule: rule.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_rule_switched_off_tags_nothing(engine, rule_off_engines, rule, data):
+    words = data.draw(st.lists(st.sampled_from(cascade_vocabulary(engine)), max_size=30))
+    doc = rule_off_engines[rule].tag_text(" ".join(words))
+    assert [e for e in doc.entities if e.rule is rule] == []
+
+
+def test_tagging_builds_nothing():
+    # build_engine builds every lookup index and cached RuleSet value that
+    # tagging reads, so tagging adds none of them.
+    engine = build_engine()
+    indexes = set(engine.gaz._indexes)
+    cached = dict(vars(engine.rules))
+    for text in COVERAGE_TEXTS:
+        engine.tag_text(text)
+    assert set(engine.gaz._indexes) == indexes
+    assert vars(engine.rules) == cached
+
+
 # --------------------------------------------------------------------------
 # The surface memo
 # --------------------------------------------------------------------------
