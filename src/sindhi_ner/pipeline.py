@@ -18,9 +18,9 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import accumulate, chain, compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
 from json.encoder import encode_basestring
-from operator import add, and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
+from operator import and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -290,15 +290,15 @@ class Engine:
 
         The stream equals ``tokenize(source, edge_specials)`` with the
         synonym map applied to its norms.  Each token costs one memo
-        lookup, and the surfaces the memo lacks are classified in one
-        batch and added to it.
+        lookup; each distinct surface the memo lacks is classified once,
+        in one batch, and added to it.
         """
         parts = self._split(source)   # [spaces, token, spaces, ..., spaces]
-        surfaces = tuple(parts[1::2])
+        surfaces = parts[1::2]
         memo = self._memo
         entries = list(map(memo.get, surfaces))
         if None in entries:
-            fresh = list(compress(surfaces, map(is_, entries, repeat(None))))
+            fresh = list(dict.fromkeys(compress(surfaces, map(is_, entries, repeat(None)))))
             learned = dict(zip(fresh, zip(*self._classify(fresh))))
             # The new entries are read from ``learned``: another thread
             # may clear the memo at any time.
@@ -307,24 +307,17 @@ class Engine:
             if len(memo) > _MEMO_CAP:
                 memo.clear()
         sizes, norms, kinds, bits = zip(*entries) if entries else ((),) * 4
-        ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
-        stream = TokenStream(source=source, surfaces=surfaces,
-                             starts=tuple(map(sub, ends, sizes)), ends=ends,
-                             norms=norms, kinds=kinds)
-        return stream, bits
+        return TokenStream.from_parts(source, parts, sizes, norms, kinds), bits
 
     def _classify(self, surfaces: Sequence[str]):
         """The byte sizes, norms, kinds and gate bits of ``surfaces``, as
-        four lists.
+        four lists: ``surface_forms`` with the synonym map applied to the
+        norms, and the gate bits of each norm.
 
         Raises InvalidInput for a surface that UTF-8 cannot encode, such
         as one holding a lone surrogate.
         """
-        try:
-            sizes = list(map(len, map(str.encode, surfaces)))
-        except UnicodeEncodeError as exc:
-            raise InvalidInput.unencodable(exc) from exc
-        norms, kinds = surface_forms(surfaces, self.config.edge_specials)
+        sizes, norms, kinds = surface_forms(surfaces, self.config.edge_specials)
         syn = self.synonyms
         if syn and not syn.keys().isdisjoint(norms):
             norms = list(map(syn.get, norms, norms))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import add, not_, or_, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import InvalidInput
 
@@ -66,7 +66,7 @@ class TokenStream:
     The tokens are stored as parallel columns, one tuple per Token field
     (``starts`` and ``ends`` split ``span``); the rules read the columns
     directly.  Indexing, slicing and iterating give Token views built on
-    demand.  ``from_tokens`` builds a stream from a sequence of Tokens.
+    demand.
     """
 
     source: str
@@ -82,14 +82,15 @@ class TokenStream:
             raise ValueError("token stream columns differ in length")
 
     @classmethod
-    def from_tokens(cls, tokens: Iterable[Token], source: str) -> "TokenStream":
-        tokens = tuple(tokens)
-        return cls(source=source,
-                   surfaces=tuple(t.surface for t in tokens),
-                   starts=tuple(t.span[0] for t in tokens),
-                   ends=tuple(t.span[1] for t in tokens),
-                   norms=tuple(t.norm for t in tokens),
-                   kinds=tuple(t.kind for t in tokens))
+    def from_parts(cls, source: str, parts: Sequence[str], sizes: Sequence[int],
+                   norms: Sequence[str], kinds: Sequence[str]) -> "TokenStream":
+        """The stream of ``source`` cut by ``token_pattern(...).split``
+        into ``parts`` (spaces, token, spaces, ..., spaces), given each
+        token's UTF-8 byte size, norm and kind."""
+        ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
+        return cls(source=source, surfaces=tuple(parts[1::2]),
+                   starts=tuple(map(sub, ends, sizes)), ends=ends,
+                   norms=tuple(norms), kinds=tuple(kinds))
 
     @property
     def tokens(self) -> Tuple[Token, ...]:
@@ -149,17 +150,23 @@ def token_pattern(specials: str = EDGE_SPECIALS):
 
 
 def surface_forms(surfaces: Sequence[str], specials: str = EDGE_SPECIALS):
-    """The norm and the kind of each token surface, as two lists.
+    """The UTF-8 byte size, the norm and the kind of each token surface,
+    as three lists.
 
     A surface that is one special character is punctuation with the empty
     norm; any other surface is lowercased and classed as a word, a number
-    literal or a symbol.  This is the one definition of a token's norm
-    and kind: ``tokenize`` applies it to every token, and the engine to
-    each surface it has not seen before.
+    literal or a symbol.  This is the one definition of a token's size,
+    norm and kind: ``tokenize`` applies it to every token, and the engine
+    to each surface it has not seen before.  Raises InvalidInput for a
+    surface that UTF-8 cannot encode.
 
     >>> surface_forms(["KTN", "،", "10:40", "+"])
-    (['ktn', '', '10:40', '+'], ['word', 'punctuation', 'number-literal', 'symbol'])
+    ([3, 2, 5, 1], ['ktn', '', '10:40', '+'], ['word', 'punctuation', 'number-literal', 'symbol'])
     """
+    try:
+        sizes = list(map(len, map(str.encode, surfaces)))
+    except UnicodeEncodeError as exc:
+        raise InvalidInput.unencodable(exc) from exc
     norms = list(map(str.lower, surfaces))
     kinds = [WORD] * len(surfaces)
     # Only edge punctuation and surfaces that are not all letters (numbers,
@@ -174,7 +181,7 @@ def surface_forms(surfaces: Sequence[str], specials: str = EDGE_SPECIALS):
             kinds[i] = PUNCTUATION
         else:
             kinds[i] = _classify(surface)
-    return norms, kinds
+    return sizes, norms, kinds
 
 
 def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
@@ -185,15 +192,5 @@ def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
     strictly increasing; slicing those bytes reproduces each surface.
     Raises InvalidInput for a text that UTF-8 cannot encode.
     """
-    # [spaces, token, spaces, token, ..., spaces]
     parts = token_pattern(specials).split(raw)
-    surfaces = tuple(parts[1::2])
-    try:
-        sizes = list(map(len, map(str.encode, surfaces)))
-    except UnicodeEncodeError as exc:
-        raise InvalidInput.unencodable(exc) from exc
-    ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
-    norms, kinds = surface_forms(surfaces, specials)
-    return TokenStream(source=raw, surfaces=surfaces,
-                       starts=tuple(map(sub, ends, sizes)), ends=ends,
-                       norms=tuple(norms), kinds=tuple(kinds))
+    return TokenStream.from_parts(raw, parts, *surface_forms(parts[1::2], specials))

@@ -922,6 +922,41 @@ def test_tagged_tokens_match_tokenize(memo_engines, data):
         engine_tokens(engine, raw)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_jsonl_reads_back_the_source_and_spans(engines, data):
+    engine = data.draw(st.sampled_from(engines))
+    words = data.draw(st.lists(memo_words(engine), max_size=20))
+    doc = engine.tag_text(" ".join(words))
+    [(source, entities)] = parse_jsonl(render(doc, "jsonl"))
+    assert source == doc.source
+    encoded = source.encode()
+    stream = tokenize(source, engine.config.edge_specials)
+    spans = list(zip(stream.starts, stream.ends))
+    for e in entities:
+        assert encoded[e.start_byte:e.end_byte].decode() == e.surface
+        inside = [i for i, (start, end) in enumerate(spans)
+                  if e.start_byte <= start and end <= e.end_byte]
+        assert inside == list(range(e.token_start, e.token_end))
+        assert (spans[e.token_start][0], spans[e.token_end - 1][1]) == \
+            (e.start_byte, e.end_byte)
+
+
+def test_a_fresh_engine_classifies_each_new_surface_once():
+    engine = build_engine()
+    classify = engine._classify
+    seen = []
+
+    def counting(surfaces):
+        seen.extend(surfaces)
+        return classify(surfaces)
+
+    engine._classify = counting
+    engine.tag_text("x y x x y z")
+    engine.tag_text("z x w w y")
+    assert sorted(seen) == ["w", "x", "y", "z"]
+
+
 def flood(count):
     """Three gold sentences in turn, each time with two surfaces no other
     text holds: the memo knows most surfaces of each text but one."""
