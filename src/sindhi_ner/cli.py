@@ -156,15 +156,16 @@ def _cmd_tag(args) -> int:
             docs = list(pool.map(engine.tag_text, texts))
     else:
         docs = [engine.tag_text(text) for text in texts]
-    rendered = [render(doc, args.format) for doc in docs if len(doc.tokens)]
+    docs = [doc for doc in docs if len(doc.tokens)]
+    rendered = [render(doc, args.format) for doc in docs]
     if rendered:
         sep = "\n\n" if args.format == "tabular" else "\n"
         sys.stdout.write(sep.join(rendered) + "\n")
     if args.store:
+        lines = rendered if args.format == "jsonl" else [render(doc, "jsonl") for doc in docs]
         with _open_store(args.store) as store:
-            for doc in docs:
-                if len(doc.tokens):
-                    print(store.append(doc), file=sys.stderr)
+            for doc, line in zip(docs, lines):
+                print(store._append_jsonl(doc, line), file=sys.stderr)
     return 0
 
 

@@ -159,8 +159,12 @@ class CorpusStore:
 
         The record is the document's jsonl line with ``"id"`` put first.
         """
+        return self._append_jsonl(tagged, render(tagged, "jsonl"))
+
+    def _append_jsonl(self, tagged: TaggedDocument, jsonl: str) -> int:
+        """``append``, given ``render(tagged, "jsonl")``."""
         doc = StoredDocument(self._next_id, tagged.source, list(tagged.entities))
-        line = '{"id": %d, ' % doc.doc_id + render(tagged, "jsonl")[1:]
+        line = '{"id": %d, ' % doc.doc_id + jsonl[1:]
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
             if self._torn_at is not None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
 from json.encoder import encode_basestring
-from operator import and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
+from operator import add, and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -62,7 +62,9 @@ from .text import (
     NUMBER,
     TokenStream,
     WORD,
+    chunk_rows,
     normalize_whitespace,
+    stream_of,
     surface_forms,
     token_pattern,
     tokenize,  # noqa: F401 - unused here; bench/spans.py wraps pipeline.tokenize
@@ -96,8 +98,10 @@ _NUMERAL, _SHAPE, _SUFFIX = (1 << k for k in range(9, 12))
 # The URL/email gate: a norm holding "://" or "@", or starting "www.".
 _SHAPED = re.compile(r"^www\.|://|@")
 
-# Surfaces the engine's memo holds before it is cleared.
+# Chunks the engine's memo holds before it is cleared.
 _MEMO_CAP = 1 << 15
+# A chunk's first row, and a row's fields after its advance.
+_FIRST, _FIELDS = itemgetter(0), itemgetter(slice(1, None))
 
 _GAZETTEER_KEYS = "gazetteers"
 _PATH_KEYS = ("suffixes", "stopwords", "months", "letters", "synonyms")
@@ -232,13 +236,13 @@ def _parse_flag(path, lineno, value: str) -> bool:
 class Engine:
     """Immutable tagging engine: config, gazetteer, rules, synonym map.
 
-    A private memo maps each token surface the engine has tagged to its
-    byte size, norm (synonyms applied), kind and gate bits.  It is filled
-    while tagging, never when the engine is built, and cleared once it
-    holds more than ``_MEMO_CAP`` surfaces.  Entries depend on the
-    surface alone: the memo changes no output, and threads
-    may share an engine, since each reads and writes the memo with single
-    dict calls.
+    A private memo maps each whitespace chunk the engine has tagged, and
+    each surface in them (a one-token chunk), to its token rows
+    (``chunk_rows``, with gate bits).  It is filled while tagging, never
+    when the engine is built, and cleared once it holds more than
+    ``_MEMO_CAP`` chunks.  Rows depend on the chunk alone: the memo
+    changes no output, and threads may share an engine, since each reads
+    and writes it with single dict calls (``_memoized``).
     """
 
     def __init__(self, config: EngineConfig, gaz: Gazetteer, rules: RuleSet,
@@ -275,7 +279,7 @@ class Engine:
         self._suffix_probes = tuple(
             [f"{suffix}\n" for suffix in rules.suffix_endings]
             + [f"\n{marker}\n" for marker in rules.person_markers])
-        self._memo: Dict[str, Tuple[int, str, str, int]] = {}
+        self._memo: Dict[str, Tuple[tuple, ...]] = {}
 
     @property
     def enabled_rules(self) -> Tuple[RuleId, ...]:
@@ -289,30 +293,25 @@ class Engine:
         gate bits of each token.
 
         The stream equals ``tokenize(source, edge_specials)`` with the
-        synonym map applied to its norms.  Each token costs one memo
-        lookup; each distinct surface the memo lacks is classified once,
-        in one batch, and added to it.
+        synonym map applied to its norms.  Each chunk (``source.split()``,
+        so the empty text has none) costs one memo lookup; the token
+        pattern runs once over the distinct chunks the memo lacks, and
+        their surfaces it lacks are classified once.
         """
-        parts = self._split(source)   # [spaces, token, spaces, ..., spaces]
-        surfaces = parts[1::2]
-        memo = self._memo
-        entries = list(map(memo.get, surfaces))
-        if None in entries:
-            fresh = list(dict.fromkeys(compress(surfaces, map(is_, entries, repeat(None)))))
-            learned = dict(zip(fresh, zip(*self._classify(fresh))))
-            # The new entries are read from ``learned``: another thread
-            # may clear the memo at any time.
-            entries = list(map(learned.get, surfaces, entries))
-            memo.update(learned)
-            if len(memo) > _MEMO_CAP:
-                memo.clear()
-        sizes, norms, kinds, bits = zip(*entries) if entries else ((),) * 4
-        return TokenStream.from_parts(source, parts, sizes, norms, kinds), bits
+        rows = _memoized(self._memo, source.split(), lambda fresh: chunk_rows(
+            self._split(" " + " ".join(fresh)), self._fields))
+        stream, (bits,) = stream_of(source, rows)
+        return stream, bits
+
+    def _fields(self, surfaces: Sequence[str]) -> List[tuple]:
+        """The tuple ``(surface, size, norm, kind, bits)`` of each of
+        ``surfaces``: its row as a one-token chunk, less the advance."""
+        return list(map(_FIELDS, map(_FIRST, _memoized(self._memo, surfaces, self._classify))))
 
     def _classify(self, surfaces: Sequence[str]):
-        """The byte sizes, norms, kinds and gate bits of ``surfaces``, as
-        four lists: ``surface_forms`` with the synonym map applied to the
-        norms, and the gate bits of each norm.
+        """The rows of ``surfaces`` as one-token chunks (``chunk_rows``):
+        ``surface_forms`` with the synonym map applied to the norms, and
+        the gate bits of each norm.
 
         Raises InvalidInput for a surface that UTF-8 cannot encode, such
         as one holding a lone surrogate.
@@ -339,7 +338,24 @@ class Engine:
                                              map(str.endswith, norms, repeat(endings)))):
                 if kinds[i] == WORD:
                     bits[i] |= _SUFFIX
-        return sizes, norms, kinds, bits
+        return zip(zip(map(add, sizes, repeat(1)), surfaces, sizes, norms, kinds, bits))
+
+
+def _memoized(memo: dict, keys: Sequence[str], compute) -> list:
+    """The value of each of ``keys`` in ``memo``.  ``compute`` gives the
+    values of the distinct keys it lacks, in one call; they are added to
+    ``memo``, which is cleared once it holds more than ``_MEMO_CAP``."""
+    values = list(map(memo.get, keys))
+    if None in values:
+        fresh = list(dict.fromkeys(compress(keys, map(is_, values, repeat(None)))))
+        learned = dict(zip(fresh, compute(fresh)))
+        # The new values are read from ``learned``: another thread may
+        # clear the memo at any time.
+        values = list(map(learned.get, keys, values))
+        memo.update(learned)
+        if len(memo) > _MEMO_CAP:
+            memo.clear()
+    return values
 
 
 def build_engine(config: Optional[EngineConfig] = None) -> Engine:

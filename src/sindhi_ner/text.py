@@ -1,10 +1,10 @@
 """Whitespace normalization and tokenization for Sindhi (Arabic-script) text.
 
 The tokenizer is deliberately simple: normalized text is split on single
-spaces, special characters are peeled off token edges into punctuation
-tokens of their own, and every token records the half-open byte range it
-occupies in the UTF-8 encoding of the text it was cut from.  Slicing those
-bytes always reproduces the token surface exactly.
+spaces into chunks, special characters are peeled off chunk edges into
+punctuation tokens of their own, and every token records the half-open
+byte range it occupies in the UTF-8 encoding of the text it was cut from.
+Slicing those bytes always reproduces the token surface exactly.
 
 Zero-width non-joiner (U+200C) is a word character here: Sindhi compounds
 like "اسلام‌آباد" must stay one token.  Tatweel and diacritics also pass
@@ -23,9 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
-from operator import add, not_, or_, sub
-from typing import Iterator, NamedTuple, Sequence, Tuple
+from itertools import accumulate, chain, compress, repeat
+from operator import add, itemgetter, not_, or_, sub
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import InvalidInput
 
@@ -42,6 +42,7 @@ SYMBOL = "symbol"
 # Digits, optionally in runs joined by single internal . / : - separators
 # ("05.06.2016", "10:40").  \d covers Arabic-Indic digits too.
 _NUMBER_RE = re.compile(r"\d+(?:[./:\-]\d+)*")
+_SIZE = itemgetter(1)   # of a (surface, size, norm, kind, ...) tuple
 
 
 class Token(NamedTuple):
@@ -80,17 +81,6 @@ class TokenStream:
         n = len(self.surfaces)
         if not n == len(self.starts) == len(self.ends) == len(self.norms) == len(self.kinds):
             raise ValueError("token stream columns differ in length")
-
-    @classmethod
-    def from_parts(cls, source: str, parts: Sequence[str], sizes: Sequence[int],
-                   norms: Sequence[str], kinds: Sequence[str]) -> "TokenStream":
-        """The stream of ``source`` cut by ``token_pattern(...).split``
-        into ``parts`` (spaces, token, spaces, ..., spaces), given each
-        token's UTF-8 byte size, norm and kind."""
-        ends = tuple(accumulate(map(add, map(len, parts[0:-1:2]), sizes)))
-        return cls(source=source, surfaces=tuple(parts[1::2]),
-                   starts=tuple(map(sub, ends, sizes)), ends=ends,
-                   norms=tuple(norms), kinds=tuple(kinds))
 
     @property
     def tokens(self) -> Tuple[Token, ...]:
@@ -184,6 +174,37 @@ def surface_forms(surfaces: Sequence[str], specials: str = EDGE_SPECIALS):
     return sizes, norms, kinds
 
 
+def chunk_rows(parts: Sequence[str], fields) -> List[Tuple[tuple, ...]]:
+    """The token rows of each chunk (the tokens after a run of spaces) of
+    ``parts``, ``token_pattern(...).split`` of a text after a space.
+    ``fields`` gives each surface's ``(surface, size, norm, kind, *more)``;
+    a row is ``(advance, *fields)``, advance being the UTF-8 bytes since
+    the end of the token before."""
+    spaces = parts[0:-1:2]
+    found = fields(parts[1::2])
+    rows = tuple(map(add, zip(map(add, map(len, spaces), map(_SIZE, found))), found))
+    firsts = list(compress(range(len(rows)), spaces))
+    return list(map(rows.__getitem__, map(slice, firsts, firsts[1:] + [None])))
+
+
+def stream_of(source: str, rows: Sequence[tuple]) -> Tuple[TokenStream, List[tuple]]:
+    """The stream of ``source`` from its chunks' rows, and the rows'
+    further columns (one empty column when there are no tokens).
+
+    >>> cut = token_pattern().split
+    >>> fields = lambda surfaces: list(zip(surfaces, *surface_forms(surfaces)))
+    >>> stream, _ = stream_of("(ڪراچي)،", chunk_rows(cut(" (ڪراچي)،"), fields))
+    >>> [(t.surface, t.span) for t in stream]
+    [('(', (0, 1)), ('ڪراچي', (1, 11)), (')', (11, 12)), ('،', (12, 14))]
+    """
+    advances, surfaces, sizes, norms, kinds, *more = (
+        list(zip(*chain.from_iterable(rows))) or [()] * 6)
+    # The text's first chunk has no space before it.
+    ends = tuple(accumulate(advances, initial=-1))[1:]
+    return TokenStream(source, surfaces, tuple(map(sub, ends, sizes)), ends, norms,
+                       kinds), more
+
+
 def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
     """Tokenize whitespace-normalized text.
 
@@ -192,5 +213,6 @@ def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
     strictly increasing; slicing those bytes reproduces each surface.
     Raises InvalidInput for a text that UTF-8 cannot encode.
     """
-    parts = token_pattern(specials).split(raw)
-    return TokenStream.from_parts(raw, parts, *surface_forms(parts[1::2], specials))
+    parts = token_pattern(specials).split(" " + raw)
+    rows = chunk_rows(parts, lambda surfaces: list(zip(surfaces, *surface_forms(surfaces, specials))))
+    return stream_of(raw, rows)[0]

@@ -21,7 +21,8 @@ from sindhi_ner.cli import CONFIG_ENV_VAR, main
 from sindhi_ner.corpus import CorpusStore
 from sindhi_ner.errors import NerError
 from sindhi_ner.gazetteer import Category, load_gazetteer, validate_sources
-from sindhi_ner.pipeline import DATA_DIR, DEFAULT_CONFIG_PATH, build_engine, load_config
+from sindhi_ner.pipeline import (DATA_DIR, DEFAULT_CONFIG_PATH, RENDER_FORMATS, build_engine,
+                                 load_config, render)
 from sindhi_ner.text import EDGE_SPECIALS
 
 from test_pipeline import write_config
@@ -159,6 +160,33 @@ class TestTag:
         with CorpusStore(store_path) as store:
             assert len(store) == 1
             assert store.get(1).text == SENTENCE
+
+    @pytest.mark.parametrize("fmt", RENDER_FORMATS)
+    def test_store_gets_the_lines_append_writes(self, tmp_path, capsys, fmt):
+        texts = [SENTENCE, " \t ", "هو خيرپور کان آيو", "", "۔"]
+        names = []
+        for i, text in enumerate(texts):
+            path = tmp_path / f"doc{i}.txt"
+            path.write_text(text, encoding="utf-8")
+            names.append(str(path))
+        engine = build_engine()
+        docs = [engine.tag_text(text) for text in texts if text.strip()]
+        expected = tmp_path / "expected.jsonl"
+        with CorpusStore(expected) as store:
+            ids = [store.append(doc) for doc in docs]
+        store_path = tmp_path / "corpus.jsonl"
+        assert main(["tag", "--format", fmt, "--store", str(store_path), *names]) == 0
+        out, err = capsys.readouterr()
+        sep = "\n\n" if fmt == "tabular" else "\n"
+        assert out == sep.join(render(doc, fmt) for doc in docs) + "\n"
+        assert err == "".join(f"{doc_id}\n" for doc_id in ids)
+        assert store_path.read_bytes() == expected.read_bytes()
+        # Inputs that all tokenize to nothing print nothing and store nothing.
+        empty_store = tmp_path / "empty.jsonl"
+        assert main(["tag", "--format", fmt, "--store", str(empty_store),
+                     names[1], names[3]]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert not empty_store.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["tag", str(tmp_path / "ghost.txt")]) == 1

@@ -170,6 +170,16 @@ class TestStore:
             store.append(engine.tag_text(text))
         assert [d.doc_id for d in store.documents()] == [1, 2, 3, 4, 5]
 
+    def test_append_of_a_rendered_line_writes_what_append_writes(self, tmp_path, engine):
+        docs = [engine.tag_text(text) for text in SAMPLES + ("ويو",)]
+        paths = tmp_path / "append.jsonl", tmp_path / "rendered.jsonl"
+        with CorpusStore(paths[0]) as plain, CorpusStore(paths[1]) as given_line:
+            for doc in docs:
+                assert plain.append(doc) == given_line._append_jsonl(doc, render(doc, "jsonl"))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        with CorpusStore(paths[1]) as reopened:
+            assert [d.text for d in reopened.documents()] == [d.source for d in docs]
+
     def test_lines_match_json_dumps(self, tmp_path, engine):
         # The render line and the store line of each golden sentence, gold
         # document and gated text are json.dumps of the same record, byte

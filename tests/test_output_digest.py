@@ -22,7 +22,7 @@ import pytest
 from sindhi_ner import build_engine
 from sindhi_ner.corpus import load_gold
 from sindhi_ner.pipeline import DATA_DIR, RENDER_FORMATS, EngineConfig, render
-from sindhi_ner.text import EDGE_SPECIALS
+from sindhi_ner.text import EDGE_SPECIALS, PUNCTUATION, normalize_whitespace, tokenize
 
 from test_acceptance import GOLDEN
 
@@ -127,9 +127,20 @@ def output_digests(engines):
 
 
 def test_random_texts_cover_the_shapes(engine):
-    text = "".join(random_texts(engine))
+    texts = random_texts(engine)
+    text = "".join(texts)
     for shape in ("\u200c", "\U0001f600", "\u0663", "۔", "@", "\t", "05.06.2016"):
         assert shape in text
+    # Chunks of two or more tokens with a special glued on the left and on
+    # the right, so the digests pin the engine's rows of such chunks.  No
+    # chunk here has specials on both edges, and adding one would change
+    # the digests; test_multi_token_chunks_match_tokenize covers that shape.
+    edges = set()
+    for chunk in {c for t in texts for c in normalize_whitespace(t).split(" ")}:
+        kinds = tokenize(chunk).kinds
+        if len(kinds) > 1 and set(kinds) != {PUNCTUATION}:
+            edges.add((kinds[0] == PUNCTUATION, kinds[-1] == PUNCTUATION))
+    assert {(True, False), (False, True)} <= edges
 
 
 def test_outputs_match_recorded_digests(digest_engines):

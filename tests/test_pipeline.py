@@ -904,7 +904,7 @@ def memo_words(engine):
     """Cascade words, synonym variants, edge-punctuation shapes, and
     arbitrary text."""
     pool = cascade_vocabulary(engine) + sorted(engine.synonyms)
-    pool += ["۔x", "x۔", "ڪراچى۔", "(ڪراچى)", "ABC", "ΑΣ", "İx"]
+    pool += ["۔x", "x۔", "ڪراچى۔", "(ڪراچى)", "(ڪراچي)،", "x،(y)", "ABC", "ΑΣ", "İx"]
     return st.one_of(st.sampled_from(pool), st.text(max_size=6))
 
 
@@ -942,19 +942,50 @@ def test_jsonl_reads_back_the_source_and_spans(engines, data):
             (e.start_byte, e.end_byte)
 
 
+def test_multi_token_chunks_match_tokenize(memo_engines):
+    # A glued chunk repeated within one text, then one first seen in a
+    # later text whose other chunks the memo knows, then all known.
+    texts = ("(ڪراچي)، ويو (ڪراچي)، x۔", "(ڪراچي)، ويو [KTN]۔ x۔", "[KTN]۔ (ڪراچي)، ويو")
+    for engine in memo_engines:
+        fresh = build_engine(engine.config)
+        for text in texts:
+            engine_tokens(fresh, text)
+
+
 def test_a_fresh_engine_classifies_each_new_surface_once():
     engine = build_engine()
     classify = engine._classify
-    seen = []
+    calls = []
 
     def counting(surfaces):
-        seen.extend(surfaces)
+        calls.append(list(surfaces))
         return classify(surfaces)
 
     engine._classify = counting
+    engine.tag_text("x، (x) x")
     engine.tag_text("x y x x y z")
     engine.tag_text("z x w w y")
-    assert sorted(seen) == ["w", "x", "y", "z"]
+    # New chunks whose surfaces are all known need no classification.
+    engine.tag_text("(w)، z، (y")
+    assert calls == [["x", "،", "(", ")"], ["y", "z"], ["w"]]
+
+
+def test_the_token_pattern_runs_once_over_the_new_chunks():
+    engine = build_engine()
+    split = engine._split
+    cut = []
+
+    def counting(text):
+        cut.append(text)
+        return split(text)
+
+    engine._split = counting
+    engine.tag_text("x، (x) x x، y")
+    engine.tag_text("y x x، (x) y")
+    engine.tag_text("w y (x) w x،")
+    # One split per text with unseen chunks, over each of them once,
+    # after the space before it; none for a text whose chunks are known.
+    assert cut == [" x، (x) x y", " w"]
 
 
 def flood(count):
