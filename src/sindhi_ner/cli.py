@@ -48,8 +48,22 @@ from .rules import LABEL_VALUE, RULE_VALUE
 CONFIG_ENV_VAR = "NER_CONFIG"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints ``error:usage: <message>``, then the usage, on a usage error."""
+
+    def error(self, message):
+        self.exit(2, f"error:usage: {message}\n{self.format_usage()}")
+
+
+def _job_count(text: str) -> int:
+    """A ``--jobs`` value: a whole number of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sindhi-ner",
         description="Rule-based named-entity tagging for Sindhi text.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output format (default: inline)")
     p_tag.add_argument("--store", metavar="PATH",
                        help="append tagged documents to this store")
-    p_tag.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_tag.add_argument("--jobs", type=_job_count, default=1, metavar="N",
                        help="tag input files on N threads (output stays in order)")
     add_config(p_tag)
 
@@ -150,9 +164,8 @@ def _open_store(path) -> CorpusStore:
 def _cmd_tag(args) -> int:
     engine = build_engine(_resolve_config(args))
     texts = [_read_input(name) for name in args.inputs]
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(texts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(texts) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             docs = list(pool.map(engine.tag_text, texts))
     else:
         docs = [engine.tag_text(text) for text in texts]

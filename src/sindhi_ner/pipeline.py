@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
 from json.encoder import encode_basestring
-from operator import add, and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
+from operator import and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -100,8 +100,6 @@ _SHAPED = re.compile(r"^www\.|://|@")
 
 # Chunks the engine's memo holds before it is cleared.
 _MEMO_CAP = 1 << 15
-# A chunk's first row, and a row's fields after its advance.
-_FIRST, _FIELDS = itemgetter(0), itemgetter(slice(1, None))
 
 _GAZETTEER_KEYS = "gazetteers"
 _PATH_KEYS = ("suffixes", "stopwords", "months", "letters", "synonyms")
@@ -236,13 +234,12 @@ def _parse_flag(path, lineno, value: str) -> bool:
 class Engine:
     """Immutable tagging engine: config, gazetteer, rules, synonym map.
 
-    A private memo maps each whitespace chunk the engine has tagged, and
-    each surface in them (a one-token chunk), to its token rows
-    (``chunk_rows``, with gate bits).  It is filled while tagging, never
-    when the engine is built, and cleared once it holds more than
-    ``_MEMO_CAP`` chunks.  Rows depend on the chunk alone: the memo
-    changes no output, and threads may share an engine, since each reads
-    and writes it with single dict calls (``_memoized``).
+    A private memo maps each whitespace chunk the engine has tagged to
+    its token rows (``chunk_rows``, with gate bits).  It is filled while
+    tagging, never when the engine is built, and cleared once it holds
+    more than ``_MEMO_CAP`` chunks.  Rows depend on the chunk alone: the
+    memo changes no output, and threads may share an engine, since each
+    reads and writes it with single dict calls (``_tokens``).
     """
 
     def __init__(self, config: EngineConfig, gaz: Gazetteer, rules: RuleSet,
@@ -296,22 +293,28 @@ class Engine:
         synonym map applied to its norms.  Each chunk (``source.split()``,
         so the empty text has none) costs one memo lookup; the token
         pattern runs once over the distinct chunks the memo lacks, and
-        their surfaces it lacks are classified once.
+        their surfaces are classified once, together.
         """
-        rows = _memoized(self._memo, source.split(), lambda fresh: chunk_rows(
-            self._split(" " + " ".join(fresh)), self._fields))
+        memo = self._memo
+        chunks = source.split()
+        rows = list(map(memo.get, chunks))
+        if None in rows:
+            fresh = list(dict.fromkeys(compress(chunks, map(is_, rows, repeat(None)))))
+            learned = dict(zip(fresh, chunk_rows(
+                self._split(" " + " ".join(fresh)), self._classify)))
+            # The new rows are read from ``learned``: another thread may
+            # clear the memo at any time.
+            rows = list(map(learned.get, chunks, rows))
+            memo.update(learned)
+            if len(memo) > _MEMO_CAP:
+                memo.clear()
         stream, (bits,) = stream_of(source, rows)
         return stream, bits
 
-    def _fields(self, surfaces: Sequence[str]) -> List[tuple]:
+    def _classify(self, surfaces: Sequence[str]) -> List[tuple]:
         """The tuple ``(surface, size, norm, kind, bits)`` of each of
-        ``surfaces``: its row as a one-token chunk, less the advance."""
-        return list(map(_FIELDS, map(_FIRST, _memoized(self._memo, surfaces, self._classify))))
-
-    def _classify(self, surfaces: Sequence[str]):
-        """The rows of ``surfaces`` as one-token chunks (``chunk_rows``):
-        ``surface_forms`` with the synonym map applied to the norms, and
-        the gate bits of each norm.
+        ``surfaces``: ``surface_forms`` with the synonym map applied to
+        the norms, and the gate bits of each norm.
 
         Raises InvalidInput for a surface that UTF-8 cannot encode, such
         as one holding a lone surrogate.
@@ -338,24 +341,7 @@ class Engine:
                                              map(str.endswith, norms, repeat(endings)))):
                 if kinds[i] == WORD:
                     bits[i] |= _SUFFIX
-        return zip(zip(map(add, sizes, repeat(1)), surfaces, sizes, norms, kinds, bits))
-
-
-def _memoized(memo: dict, keys: Sequence[str], compute) -> list:
-    """The value of each of ``keys`` in ``memo``.  ``compute`` gives the
-    values of the distinct keys it lacks, in one call; they are added to
-    ``memo``, which is cleared once it holds more than ``_MEMO_CAP``."""
-    values = list(map(memo.get, keys))
-    if None in values:
-        fresh = list(dict.fromkeys(compress(keys, map(is_, values, repeat(None)))))
-        learned = dict(zip(fresh, compute(fresh)))
-        # The new values are read from ``learned``: another thread may
-        # clear the memo at any time.
-        values = list(map(learned.get, keys, values))
-        memo.update(learned)
-        if len(memo) > _MEMO_CAP:
-            memo.clear()
-    return values
+        return list(zip(surfaces, sizes, norms, kinds, bits))
 
 
 def build_engine(config: Optional[EngineConfig] = None) -> Engine:

@@ -147,8 +147,8 @@ def surface_forms(surfaces: Sequence[str], specials: str = EDGE_SPECIALS):
     norm; any other surface is lowercased and classed as a word, a number
     literal or a symbol.  This is the one definition of a token's size,
     norm and kind: ``tokenize`` applies it to every token, and the engine
-    to each surface it has not seen before.  Raises InvalidInput for a
-    surface that UTF-8 cannot encode.
+    to the tokens of each chunk it has not seen.  Raises InvalidInput for
+    a surface that UTF-8 cannot encode.
 
     >>> surface_forms(["KTN", "،", "10:40", "+"])
     ([3, 2, 5, 1], ['ktn', '', '10:40', '+'], ['word', 'punctuation', 'number-literal', 'symbol'])

@@ -128,6 +128,14 @@ class TestTag:
         assert main(["tag", "--jobs", "4", *names]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x", ""])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, monkeypatch, capsys):
+        feed_stdin(monkeypatch, SENTENCE)
+        assert main(["tag", "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:usage: argument --jobs: "), err
+
     def test_jobs_over_long_inputs_keeps_collector_enabled(self, tmp_path, capsys):
         # Each input reaches tag_text's collector pause, so the threads
         # pause and resume it concurrently; a short switch interval
@@ -830,3 +838,18 @@ class TestErrorPrefixInvariant:
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert ERROR_PREFIX.match(err.splitlines()[0]), (argv, err)
+
+    def test_every_usage_error_prefixes_stderr(self, capsys):
+        failing = [
+            ["tag", "--format", "bogus"],
+            ["tag", "--bogus"],
+            [],
+            ["eval"],
+            ["query"],
+            ["gazetteer"],
+        ]
+        for argv in failing:
+            assert main(argv) == 2, argv
+            first, *rest = capsys.readouterr().err.splitlines()
+            assert first.startswith("error:usage: "), (argv, first)
+            assert rest[0].startswith("usage: sindhi-ner"), (argv, rest)

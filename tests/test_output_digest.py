@@ -1,11 +1,13 @@
 """Byte-identical tagging output, checked by digest.
 
-The ``jsonl``, ``inline`` and ``tabular`` renders of three inputs (the
-golden sentences, the ``mini_gold.tsv`` sentences and seeded random texts
-over the cascade vocabulary) are hashed through the default engine and
-through one engine with other edge specials and synonyms.  A change meant
-to keep every output byte-identical must leave ``DIGESTS`` as it is; a
-change meant to alter output updates them and says why.
+The ``jsonl``, ``inline`` and ``tabular`` renders of four inputs (the
+golden sentences, the ``mini_gold.tsv`` sentences, seeded random texts
+over the cascade vocabulary, and seeded texts of that vocabulary with
+edge specials glued on both sides of its words) are hashed through the
+default engine and through one engine with other edge specials and
+synonyms.  A change meant to keep every output byte-identical must leave
+``DIGESTS`` as it is; a change meant to alter output updates them and
+says why.
 
 Outputs depend on Python's Unicode tables (``str.isalpha``, ``\\d``,
 ``str.split``, ``str.lower``), so the digests hold for the Unicode version
@@ -38,6 +40,9 @@ DIGESTS = {
     "default/random/inline": "d8c9267c2796d61c",
     "default/random/tabular": "992c0823c455bef4",
     "default/random/jsonl": "a4243931bfbc0a08",
+    "default/glued/inline": "e76a2811d16271c1",
+    "default/glued/tabular": "831de9e597c0a2b4",
+    "default/glued/jsonl": "f6232a090f1ed457",
     "variant/golden/inline": "d34278831a2a87a2",
     "variant/golden/tabular": "ccbc5a5c0d2c984a",
     "variant/golden/jsonl": "2dd70e6c1adcc23f",
@@ -47,6 +52,9 @@ DIGESTS = {
     "variant/random/inline": "394b68b75a5af0c5",
     "variant/random/tabular": "b851c399ee6576a4",
     "variant/random/jsonl": "d8b1b401ae00a1ad",
+    "variant/glued/inline": "5c46af85e4e86baa",
+    "variant/glued/tabular": "73789fdd7f31a12d",
+    "variant/glued/jsonl": "8e4ef712b686b7a9",
 }
 
 # Edge specials for the variant engine: no Urdu full stop, plus two
@@ -92,6 +100,20 @@ def random_texts(engine, count=2000, seed=20160605):
     return texts
 
 
+def glued_texts(engine, count=500, seed=20190605):
+    """Seeded texts whose words carry up to two edge specials of either
+    engine on each side, as in ``(ڪراچي)،``."""
+    rng = random.Random(seed)
+    pool = vocabulary(engine)
+    specials = EDGE_SPECIALS + VARIANT_SPECIALS
+
+    def edge():
+        return "".join(rng.choice(specials) for _ in range(rng.randrange(3)))
+
+    return [" ".join(edge() + rng.choice(pool) + edge() for _ in range(rng.randrange(12)))
+            for _ in range(count)]
+
+
 def golden_texts():
     return [text for text, _ in GOLDEN]
 
@@ -119,11 +141,23 @@ def digest(engine, texts, fmt):
 
 def output_digests(engines):
     inputs = {"golden": golden_texts(), "gold": gold_texts(),
-              "random": random_texts(engines["default"])}
+              "random": random_texts(engines["default"]),
+              "glued": glued_texts(engines["default"])}
     return {f"{name}/{corpus}/{fmt}": digest(engine, texts, fmt)
             for name, engine in engines.items()
             for corpus, texts in inputs.items()
             for fmt in RENDER_FORMATS}
+
+
+def edge_shapes(texts):
+    """Whether a special is glued on the left and on the right, for each
+    chunk of two or more tokens, not all punctuation, of ``texts``."""
+    edges = set()
+    for chunk in {c for t in texts for c in normalize_whitespace(t).split(" ")}:
+        kinds = tokenize(chunk).kinds
+        if len(kinds) > 1 and set(kinds) != {PUNCTUATION}:
+            edges.add((kinds[0] == PUNCTUATION, kinds[-1] == PUNCTUATION))
+    return edges
 
 
 def test_random_texts_cover_the_shapes(engine):
@@ -132,15 +166,14 @@ def test_random_texts_cover_the_shapes(engine):
     for shape in ("\u200c", "\U0001f600", "\u0663", "۔", "@", "\t", "05.06.2016"):
         assert shape in text
     # Chunks of two or more tokens with a special glued on the left and on
-    # the right, so the digests pin the engine's rows of such chunks.  No
-    # chunk here has specials on both edges, and adding one would change
-    # the digests; test_multi_token_chunks_match_tokenize covers that shape.
-    edges = set()
-    for chunk in {c for t in texts for c in normalize_whitespace(t).split(" ")}:
-        kinds = tokenize(chunk).kinds
-        if len(kinds) > 1 and set(kinds) != {PUNCTUATION}:
-            edges.add((kinds[0] == PUNCTUATION, kinds[-1] == PUNCTUATION))
-    assert {(True, False), (False, True)} <= edges
+    # the right, so the digests pin the engine's rows of such chunks.
+    assert {(True, False), (False, True)} <= edge_shapes(texts)
+
+
+def test_glued_texts_cover_both_edges(engine):
+    # Chunks with specials on both edges, such as (ڪراچي)، are pinned by
+    # the glued digests.
+    assert (True, True) in edge_shapes(glued_texts(engine))
 
 
 def test_outputs_match_recorded_digests(digest_engines):

@@ -815,6 +815,24 @@ def test_collect_matches_reference_on_gold(engines):
                 sorted(collect_reference(engine, stream), key=sort_key)
 
 
+# The rules whose proposals block rule 6.
+R1_TO_R5 = {RuleId.R1_DateTime, RuleId.R2_Suffix, RuleId.R3_GazetteerName,
+            RuleId.R4_SurnameTrigger, RuleId.R5_TitleDesignation}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rule_6_never_fires_where_rules_1_to_5_proposed(engines, data):
+    vocabulary = cascade_vocabulary(engines[0]) + ["سعيداد جي", "15 مارچ جي", "اويس مهر جي"]
+    words = data.draw(st.lists(st.sampled_from(vocabulary), max_size=30))
+    engine = data.draw(st.sampled_from(engines))
+    proposals = _collect(engine, *engine._tokens(normalize_whitespace(" ".join(words))))
+    claimed = {i for p in proposals if p.rule in R1_TO_R5 for i in range(p.start, p.end)}
+    for p in proposals:
+        if p.rule is RuleId.R6_Postposition:
+            assert claimed.isdisjoint(range(p.start, p.end)), (words, p)
+
+
 def test_cascade_runs_each_rule_once_after_its_blockers():
     order = [row.rule for row in pipeline._CASCADE]
     assert sorted(order, key=list(RuleId).index) == list(RuleId)
@@ -952,7 +970,7 @@ def test_multi_token_chunks_match_tokenize(memo_engines):
             engine_tokens(fresh, text)
 
 
-def test_a_fresh_engine_classifies_each_new_surface_once():
+def test_a_fresh_engine_classifies_each_new_chunk_once():
     engine = build_engine()
     classify = engine._classify
     calls = []
@@ -962,12 +980,21 @@ def test_a_fresh_engine_classifies_each_new_surface_once():
         return classify(surfaces)
 
     engine._classify = counting
-    engine.tag_text("x، (x) x")
-    engine.tag_text("x y x x y z")
-    engine.tag_text("z x w w y")
-    # New chunks whose surfaces are all known need no classification.
-    engine.tag_text("(w)، z، (y")
-    assert calls == [["x", "،", "(", ")"], ["y", "z"], ["w"]]
+    for text in ("x، (x) x", "x y x x y z", "z x w w y", "(w)، z، (y", "x، z w (y"):
+        engine.tag_text(text)
+    # One call per text with new chunks, over the surfaces of its distinct
+    # new chunks in order, known surfaces too; none for a text whose
+    # chunks are all known.
+    assert calls == [["x", "،", "(", "x", ")", "x"], ["y", "z"], ["w"],
+                     ["(", "w", ")", "،", "z", "،", "(", "y"]]
+
+
+def test_the_memo_holds_the_distinct_chunks_of_the_texts_tagged():
+    engine = build_engine()
+    texts = ["(ڪراچي)، ويو  (ڪراچي)،", "\tويو x۔ y", "", "x۔ (ڪراچي)، z"]
+    for text in texts:
+        engine.tag_text(text)
+    assert set(engine._memo) == {c for t in texts for c in t.split()}
 
 
 def test_the_token_pattern_runs_once_over_the_new_chunks():
