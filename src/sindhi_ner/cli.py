@@ -49,10 +49,20 @@ CONFIG_ENV_VAR = "NER_CONFIG"
 
 
 class _Parser(argparse.ArgumentParser):
-    """Prints ``error:usage: <message>``, then the usage, on a usage error."""
+    """Prints ``error:usage: <message>``, then the usage, on a usage error.
+
+    Unrecognized arguments are reported by the parser of the subcommand
+    they follow, with that subcommand's usage.
+    """
 
     def error(self, message):
         self.exit(2, f"error:usage: {message}\n{self.format_usage()}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _job_count(text: str) -> int:

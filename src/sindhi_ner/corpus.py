@@ -164,15 +164,16 @@ class CorpusStore:
     def _append_jsonl(self, tagged: TaggedDocument, jsonl: str) -> int:
         """``append``, given ``render(tagged, "jsonl")``."""
         doc = StoredDocument(self._next_id, tagged.source, list(tagged.entities))
-        line = '{"id": %d, ' % doc.doc_id + jsonl[1:]
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
             if self._torn_at is not None:
                 self._fh.truncate(self._torn_at)
                 self._torn_at = None
-        if self._unterminated:
-            line = "\n" + line
-        self._fh.write(line + "\n")
+        # One format builds the record, so a long record is copied by the
+        # slice and the format only, not once more per piece added: a
+        # newline ending an unterminated last record, the id, a newline.
+        self._fh.write('%s{"id": %d, %s\n' % (
+            "\n" if self._unterminated else "", doc.doc_id, jsonl[1:]))
         self._fh.flush()
         self._unterminated = False
         self._admit(doc)

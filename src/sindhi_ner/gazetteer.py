@@ -2,9 +2,9 @@
 
 Data files are UTF-8 TSV, one ``surface<TAB>category`` entry per line.
 Blank lines and ``#`` comments are ignored.  Surfaces are one to three
-whitespace-separated words and are normalized (edge specials stripped,
-Latin lowercased) before being stored, so matching compares normalized
-forms only.
+whitespace-separated words (one for ``SINGLE_WORD_CATEGORIES``) and are
+normalized (edge specials stripped, Latin lowercased) before being
+stored, so matching compares normalized forms only.
 
 The same TSV shape carries the engine's auxiliary word lists under
 reserved categories (month names, letter names, stopwords, suffixes);
@@ -58,6 +58,10 @@ PERSON_MARKER = "PersonMarker"
 SUFFIX_CATEGORIES = (LOCATION_SUFFIX, PERSON_SUFFIX, TERM_SUFFIX, PERSON_MARKER)
 
 MAX_ENTRY_WORDS = 3
+
+# Categories the rules read one word at a time (``single_token_norms``).
+SINGLE_WORD_CATEGORIES = frozenset(
+    (Category.NumberWord, Category.OrgKeyword, Category.AmbiguousName))
 
 
 @dataclass(frozen=True)
@@ -249,6 +253,8 @@ def parse_entry(path, lineno: int, surface: str, cat_name: str, specials: str,
     a repeat is a DuplicateEntry, and a new entry is added."""
     category = _parse_category(path, lineno, cat_name)
     words = _normalize_words(path, lineno, surface, specials)
+    if len(words) > 1 and category in SINGLE_WORD_CATEGORIES:
+        raise MalformedLine(path, lineno, f"{category.value} entries must be single words")
     key = (words, category)
     if key in seen:
         raise DuplicateEntry(

@@ -27,7 +27,6 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Option
 
 from .errors import ConfigError, InvalidInput, UnknownFormat
 from .gazetteer import (
-    Gazetteer,
     LETTER_NAME,
     MONTH_NAME,
     STOPWORD,
@@ -126,17 +125,28 @@ class EntitySpan(NamedTuple):
 
 @dataclass(frozen=True)
 class TaggedDocument:
-    """Tokenized text plus non-overlapping entities and leftover tokens.
+    """Tokenized text plus non-overlapping entities, ordered by start.
 
-    ``source`` is the whitespace-normalized text the byte spans index.
+    ``source`` and ``untagged`` are read from the two fields each time.
     Every token index is covered by exactly one entity or listed in
     ``untagged``.
     """
 
-    source: str
     tokens: TokenStream
     entities: Tuple[EntitySpan, ...]
-    untagged: Tuple[int, ...]
+
+    @property
+    def source(self) -> str:
+        """The whitespace-normalized text the byte spans index."""
+        return self.tokens.source
+
+    @property
+    def untagged(self) -> Tuple[int, ...]:
+        # Entities are disjoint and ordered by start: the untagged tokens
+        # are the gaps before, between and after them.
+        gap_starts = chain((0,), map(SPAN_TOKEN_END, self.entities))
+        gap_ends = chain(map(SPAN_TOKEN_START, self.entities), (len(self.tokens),))
+        return tuple(chain.from_iterable(map(range, gap_starts, gap_ends)))
 
 
 @dataclass(frozen=True)
@@ -242,10 +252,9 @@ class Engine:
     reads and writes it with single dict calls (``_tokens``).
     """
 
-    def __init__(self, config: EngineConfig, gaz: Gazetteer, rules: RuleSet,
-                 synonyms: Mapping[str, str]):
+    def __init__(self, config: EngineConfig, rules: RuleSet, synonyms: Mapping[str, str]):
         self.config = config
-        self.gaz = gaz
+        gaz = self.gaz = rules.gaz
         self.rules = rules
         self.synonyms = dict(synonyms)
         self.enabled: Dict[RuleId, bool] = {
@@ -370,7 +379,7 @@ def build_engine(config: Optional[EngineConfig] = None) -> Engine:
         priorities={**DEFAULT_PRIORITIES, **config.priorities},
     )
     synonyms = load_synonyms(config.synonyms) if config.synonyms else {}
-    return Engine(config, gaz, rules, synonyms)
+    return Engine(config, rules, synonyms)
 
 
 # --------------------------------------------------------------------------
@@ -397,16 +406,8 @@ def tag_text(engine: Engine, raw: str) -> TaggedDocument:
     if paused:
         gc.disable()
     try:
-        source = normalize_whitespace(raw)
-        stream, bits = engine._tokens(source)
-        entities = resolve_conflicts(_collect(engine, stream, bits), stream)
-        # Entities are disjoint and ordered by start: the untagged tokens
-        # are the gaps before, between and after them.
-        gap_starts = chain((0,), map(SPAN_TOKEN_END, entities))
-        gap_ends = chain(map(SPAN_TOKEN_START, entities), (len(stream),))
-        untagged = tuple(chain.from_iterable(map(range, gap_starts, gap_ends)))
-        return TaggedDocument(source=source, tokens=stream,
-                              entities=entities, untagged=untagged)
+        stream, bits = engine._tokens(normalize_whitespace(raw))
+        return TaggedDocument(stream, resolve_conflicts(_collect(engine, stream, bits), stream))
     finally:
         if paused:
             gc.enable()

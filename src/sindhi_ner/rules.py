@@ -110,7 +110,8 @@ DEFAULT_PRIORITIES: Dict[RuleId, int] = {
 
 # Widest span each rule may emit, in tokens.  The initials rule can cover
 # three initials plus the surname; the org-keyword rule a keyword plus two
-# qualifiers; everything else is capped at three.
+# qualifiers; everything else is capped at three.  Rules 4 and 8 join a
+# surname of up to three words to other tokens, so they check their caps.
 SPAN_CAPS: Dict[RuleId, int] = {rule: 3 for rule in RuleId}
 SPAN_CAPS[RuleId.R8_Initials] = 4
 
@@ -354,9 +355,10 @@ class RuleSet:
     def match_surname_trigger(self, tokens, i: int) -> Optional[Proposal]:
         """PERSON over surname plus qualifying preceding token.
 
-        The preceding token joins the span when it is word-kind and not a
-        stopword.  A letter-name predecessor means an initials context, so
-        no proposal is made at all: the initials rule owns that shape.
+        The preceding token joins the span when it is word-kind, not a
+        stopword, and leaves the span within its cap.  A letter-name
+        predecessor means an initials context, so no proposal is made at
+        all: the initials rule owns that shape.
         """
         hit = lookup_longest(self.gaz, tokens, i, SURNAME_CATEGORIES)
         if hit is None:
@@ -366,7 +368,8 @@ class RuleSet:
             prev = tokens.norms[i - 1]
             if prev in self.letters:
                 return None
-            if tokens.kinds[i - 1] == WORD and prev not in self.stopwords:
+            if (tokens.kinds[i - 1] == WORD and prev not in self.stopwords
+                    and hit[1] < SPAN_CAPS[RuleId.R4_SurnameTrigger]):
                 return self._make(i - 1, end, TagLabel.PERSON, RuleId.R4_SurnameTrigger)
         return self._make(i, end, TagLabel.PERSON, RuleId.R4_SurnameTrigger)
 
@@ -397,7 +400,9 @@ class RuleSet:
     # -- rule 8: initials before a surname ---------------------------------
 
     def match_initials(self, tokens, i: int) -> Optional[Proposal]:
-        """PERSON over one to three letter-name tokens plus a surname."""
+        """PERSON over one to three letter-name tokens plus a surname,
+        if that is at most ``SPAN_CAPS`` tokens: a later letter of the run
+        then starts the span that fits."""
         run = _run_length(tokens.norms, i, self.letters)
         if not run:
             return None
@@ -405,7 +410,7 @@ class RuleSet:
         if j >= len(tokens.norms):
             return None
         hit = lookup_longest(self.gaz, tokens, j, SURNAME_CATEGORIES)
-        if hit is None:
+        if hit is None or run + hit[1] > SPAN_CAPS[RuleId.R8_Initials]:
             return None
         return self._make(i, j + hit[1], TagLabel.PERSON, RuleId.R8_Initials)
 

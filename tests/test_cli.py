@@ -18,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 import sindhi_ner
 from sindhi_ner.cli import CONFIG_ENV_VAR, main
-from sindhi_ner.corpus import CorpusStore
-from sindhi_ner.errors import NerError
+from sindhi_ner.corpus import CorpusStore, evaluate, load_gold
+from sindhi_ner.errors import MalformedLine, NerError
 from sindhi_ner.gazetteer import Category, load_gazetteer, validate_sources
-from sindhi_ner.pipeline import (DATA_DIR, DEFAULT_CONFIG_PATH, RENDER_FORMATS, build_engine,
-                                 load_config, render)
+from sindhi_ner.pipeline import (DATA_DIR, DEFAULT_CONFIG_PATH, RENDER_FORMATS, EngineConfig,
+                                 TaggedDocument, build_engine, load_config, render)
 from sindhi_ner.text import EDGE_SPECIALS
 
+from test_acceptance import GOLDEN
 from test_pipeline import write_config
 
 SENTENCE = "اويس جمائي 05.06.2016 تي سنڌ يونيورسٽي ويو"
@@ -632,6 +633,26 @@ class TestGazetteer:
                      "--file", str(tmp_path / "extra.tsv")]) == 1
         assert ERROR_PREFIX.match(capsys.readouterr().err.splitlines()[0])
 
+    @pytest.mark.parametrize("category", ["NumberWord", "OrgKeyword", "AmbiguousName"])
+    def test_a_category_read_one_word_at_a_time_refuses_more(self, tmp_path, capsys,
+                                                             category):
+        # Rules 6, 7 and 10 read these categories one word at a time, so a
+        # longer entry could never match: build_engine, check and add all
+        # refuse it alike.
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"بلو مرو\t{category}\n", encoding="utf-8")
+        message = f"{bad}:1: {category} entries must be single words"
+        with pytest.raises(MalformedLine) as exc:
+            build_engine(EngineConfig.default().with_gazetteers([bad]))
+        assert str(exc.value) == message
+        assert main(["gazetteer", "check", "--gazetteer", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines()[1:] == [message]
+        target = tmp_path / "extra.tsv"
+        assert main(["gazetteer", "add", "بلو مرو", category, "--file", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"error:malformed-line: {target}:1: {category} entries must be single words\n")
+        assert not target.exists()
+
     def test_added_entry_changes_tagging(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "extra.tsv"
         main(["gazetteer", "add", "مرڪزوال", "Location",
@@ -685,6 +706,8 @@ def test_add_writes_what_the_loaders_read_back(words, separators, category, befo
 # The data files build_engine reads (the gold corpus and config are not).
 DATA_FILES = sorted(p.name for p in DATA_DIR.glob("*.tsv") if p.name != "mini_gold.tsv")
 WORD_LISTS = ("suffixes.tsv", "months.tsv", "letters.tsv", "stopwords.tsv")
+# Gazetteers of the categories whose entries are single words.
+SINGLE_WORD_GAZETTEERS = ("number_words.tsv", "org_keywords.tsv", "ambiguous_names.tsv")
 
 
 def _damage(data, directory):
@@ -692,7 +715,8 @@ def _damage(data, directory):
     edit = data.draw(st.sampled_from([
         "drop-tab", "duplicate", "invalid-byte", "unknown-category",
         "multi-word", "repeated-suffix", "bad-synonym", "delete"]))
-    names = {"multi-word": WORD_LISTS, "repeated-suffix": ["suffixes.tsv"],
+    names = {"multi-word": WORD_LISTS + SINGLE_WORD_GAZETTEERS,
+             "repeated-suffix": ["suffixes.tsv"],
              "bad-synonym": ["synonyms.tsv"],
              "unknown-category": [n for n in DATA_FILES if n != "synonyms.tsv"]}
     # An earlier edit may have deleted a file.
@@ -840,16 +864,43 @@ class TestErrorPrefixInvariant:
             assert ERROR_PREFIX.match(err.splitlines()[0]), (argv, err)
 
     def test_every_usage_error_prefixes_stderr(self, capsys):
+        # Each case with the command whose usage follows the error line.
         failing = [
-            ["tag", "--format", "bogus"],
-            ["tag", "--bogus"],
-            [],
-            ["eval"],
-            ["query"],
-            ["gazetteer"],
+            (["tag", "--format", "bogus"], "sindhi-ner tag"),
+            (["tag", "--bogus"], "sindhi-ner tag"),
+            (["--bogus", "tag"], "sindhi-ner"),
+            ([], "sindhi-ner"),
+            (["eval"], "sindhi-ner eval"),
+            (["eval", "--gold", "g.tsv", "--bogus"], "sindhi-ner eval"),
+            (["query"], "sindhi-ner query"),
+            (["gazetteer"], "sindhi-ner gazetteer"),
+            (["gazetteer", "check", "--bogus"], "sindhi-ner gazetteer check"),
         ]
-        for argv in failing:
+        for argv, command in failing:
             assert main(argv) == 2, argv
             first, *rest = capsys.readouterr().err.splitlines()
             assert first.startswith("error:usage: "), (argv, first)
-            assert rest[0].startswith("usage: sindhi-ner"), (argv, rest)
+            assert rest[0].startswith(f"usage: {command} ["), (argv, rest)
+
+
+def test_nothing_reads_untagged(engine, tmp_path, monkeypatch, capsys):
+    # A document's untagged indices are worked out only when read; render,
+    # the store, eval and the CLI read its tokens and entities alone.
+    def unread(doc):
+        raise AssertionError("a document's untagged indices were read")
+
+    monkeypatch.setattr(TaggedDocument, "untagged", property(unread))
+    docs = [engine.tag_text(text) for text, _ in GOLDEN]
+    with pytest.raises(AssertionError):
+        docs[0].untagged
+    with CorpusStore(tmp_path / "api.jsonl") as store:
+        for doc in docs:
+            for fmt in RENDER_FORMATS:
+                render(doc, fmt)
+            store.append(doc)
+    assert evaluate(engine, load_gold(DATA_DIR / "mini_gold.tsv")).total_tokens
+    src = tmp_path / "doc.txt"
+    src.write_text(SENTENCE, encoding="utf-8")
+    store = tmp_path / "cli.jsonl"
+    assert main(["tag", "--format", "jsonl", "--store", str(store), str(src)]) == 0
+    assert capsys.readouterr().out == store.read_text("utf-8").replace('{"id": 1, ', "{")

@@ -1,5 +1,6 @@
 """Store round-trips, gold-corpus loading, and token-level scoring."""
 
+import dataclasses
 import itertools
 import json
 import tempfile
@@ -126,8 +127,8 @@ def test_jsonl_writer_matches_json_dumps(source, entities):
     # The render line and the store line of a hand-built document, whose
     # spans the tagger may never make, are json.dumps of its record, and
     # read back to the document.
-    doc = TaggedDocument(source=source, tokens=tokenize(""),
-                         entities=tuple(entities), untagged=())
+    doc = TaggedDocument(tokens=dataclasses.replace(tokenize(""), source=source),
+                         entities=tuple(entities))
     record = {"text": source, "entities": [entity_to_dict(e) for e in entities]}
     line = render(doc, "jsonl")
     assert line == json.dumps(record, ensure_ascii=False)

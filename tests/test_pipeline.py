@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 import json
 import os
 import sys
@@ -16,13 +17,16 @@ from sindhi_ner import pipeline
 from sindhi_ner.corpus import load_gold
 from sindhi_ner.errors import (
     ConfigError, InvalidInput, MalformedLine, MissingDataFile, UnknownFormat)
-from sindhi_ner.gazetteer import Category, _normalize_words, lookup_longest
+from sindhi_ner.gazetteer import (
+    SINGLE_WORD_CATEGORIES, Category, _normalize_words, lookup_longest)
 from sindhi_ner.pipeline import (
     DATA_DIR,
     DEFAULT_CONFIG_PATH,
+    Engine,
     EngineConfig,
     EntitySpan,
     RENDER_FORMATS,
+    TaggedDocument,
     _collect,
     build_engine,
     entity_from_dict,
@@ -33,7 +37,8 @@ from sindhi_ner.pipeline import (
     resolve_conflicts,
     select_proposals,
 )
-from sindhi_ner.rules import DIRECT_LABELS, Proposal, RuleId, RuleSet, TagLabel, sort_key
+from sindhi_ner.rules import (
+    DIRECT_LABELS, SPAN_CAPS, Proposal, RuleId, RuleSet, TagLabel, sort_key)
 from sindhi_ner.text import EDGE_SPECIALS, NUMBER, WORD, normalize_whitespace, tokenize
 
 from test_acceptance import GOLDEN
@@ -154,6 +159,10 @@ class TestLoadConfig:
 
 
 class TestBuildEngine:
+    def test_the_engine_reads_its_gazetteer_from_its_rules(self, engine):
+        assert list(inspect.signature(Engine).parameters) == ["config", "rules", "synonyms"]
+        assert engine.gaz is engine.rules.gaz
+
     def test_default_rules_all_enabled(self, engine):
         assert len(engine.enabled_rules) == len(RuleId) == 12
 
@@ -208,6 +217,14 @@ class TestTagText:
              "سنڌ يونيورسٽي"),
         ]
         assert doc.untagged == (3, 6)
+
+    def test_a_document_stores_its_tokens_and_entities_only(self, engine):
+        doc = engine.tag_text("اويس جمائي 05.06.2016 تي سنڌ يونيورسٽي ويو")
+        fields = [f.name for f in dataclasses.fields(TaggedDocument)]
+        assert fields == ["tokens", "entities"]
+        assert doc.source is doc.tokens.source
+        assert doc.untagged == (3, 6)
+        assert doc.untagged is not doc.untagged  # worked out on each read
 
     def test_empty_input(self, engine):
         doc = engine.tag_text("")
@@ -350,6 +367,7 @@ def test_added_entry_keeps_date_time_url_email_spans(engine, data):
         words = _normalize_words("entry", 1, surface)
     except MalformedLine:
         assume(False)
+    assume(len(words) == 1 or category not in SINGLE_WORD_CATEGORIES)
     assume(words not in engine.gaz.match_index(frozenset((category,)))[1])
     with tempfile.TemporaryDirectory() as tmp:
         extra = Path(tmp) / "extra.tsv"
@@ -412,7 +430,8 @@ class TestRender:
 
     def test_inline_source_utf8_cannot_encode_is_invalid_input(self, engine):
         doc = engine.tag_text("اويس ويو")
-        forged = dataclasses.replace(doc, source=doc.source + " \ud800")
+        forged = dataclasses.replace(
+            doc, tokens=dataclasses.replace(doc.tokens, source=doc.source + " \ud800"))
         with pytest.raises(InvalidInput) as err:
             render(forged, "inline")
         assert err.value.code == "invalid-input"
@@ -665,13 +684,15 @@ def engines(engine, tmp_path_factory):
     """The default engine; one whose ambiguous names also take a person
     suffix (rule 2 then mutes rule 6) or are a month, a surname or an org
     keyword (a date or a surname span then mutes rule 6, and rule 6 can
-    claim the keyword); one whose suffix table makes a month name end in
-    a location suffix (a date then mutes rule 2); and variants whose
-    disabled rules lift gates."""
+    claim the keyword), and whose direct entries include a month and a
+    URL (a date or a URL then mutes the direct match); one whose suffix
+    table makes a month name end in a location suffix (a date then mutes
+    rule 2); and variants whose disabled rules lift gates."""
     tmp = tmp_path_factory.mktemp("engines")
     extra = tmp / "extra.tsv"
     extra.write_text("".join(f"{word}\tAmbiguousName\n"
-                             for word in ("سعيداد", "مارچ", "مهر", "بينڪ")), "utf-8")
+                             for word in ("سعيداد", "مارچ", "مهر", "بينڪ"))
+                     + "جون\tTerm\nwww.sindhila.org\tOrganization\n", "utf-8")
     variants = [engine, build_engine(load_config(write_config(tmp, extra_gazetteer=extra)))]
     directory = tmp / "suffixes"
     directory.mkdir()
@@ -800,7 +821,9 @@ GATED = [
     "بينڪ جي",                    # rule 6 claims the org keyword
     "15 مارچ يونيورسٽي",           # a date stops the org extension
     "جي اي مهر بينڪ",              # initials stop the org extension
-    "www.sindhila.org بينڪ",       # a URL stops the org extension
+    "www.sindhila.org بينڪ",       # a URL stops the org extension, mutes a direct match
+    "15 جون 2016",                # a date mutes a direct match
+    "ڊاڪٽر سعيداد آيو",            # a title's person mutes the suffix rule
     *LETTER_RUNS,                  # the R8/R9 next-token gates
 ]
 
@@ -833,12 +856,93 @@ def test_rule_6_never_fires_where_rules_1_to_5_proposed(engines, data):
             assert claimed.isdisjoint(range(p.start, p.end)), (words, p)
 
 
+# A surname of two and one of three words, and texts that put a word or
+# a letter-name run before each: spans that would pass the caps.
+LONG_SURNAMES = ("زڪو بلو مرو", "ڀٽو زرداري")
+CAP_TEXTS = ["ڪالهه اڪرم زڪو بلو مرو آيو", "جي اي بي زڪو بلو مرو آيو",
+             "اڪرم ڀٽو زرداري", "اي بي سي ڀٽو زرداري", "جي زڪو بلو مرو"]
+
+
+@pytest.fixture(scope="module")
+def cap_engines(engines, tmp_path_factory):
+    """The ``engines`` variants and one whose surnames include
+    ``LONG_SURNAMES``."""
+    tmp = tmp_path_factory.mktemp("surnames")
+    extra = tmp / "surnames.tsv"
+    extra.write_text("".join(f"{name}\tSurname\n" for name in LONG_SURNAMES), "utf-8")
+    return engines + [build_engine(load_config(write_config(tmp, extra_gazetteer=extra)))]
+
+
+def test_rules_4_and_8_keep_to_their_caps(cap_engines):
+    engine = cap_engines[-1]
+
+    def spans(text, rule):
+        proposals = _collect(engine, *engine_tokens(engine, text))
+        return [(p.start, p.end) for p in proposals if p.rule is rule]
+
+    # The word before a surname joins the span only if it fits in three.
+    assert spans(CAP_TEXTS[0], RuleId.R4_SurnameTrigger) == [(2, 5)]
+    assert spans(CAP_TEXTS[2], RuleId.R4_SurnameTrigger) == [(0, 3), (1, 3)]
+    # Initials start only at the letters from which they fit in four.
+    assert spans(CAP_TEXTS[1], RuleId.R8_Initials) == [(2, 6)]
+    assert spans(CAP_TEXTS[3], RuleId.R8_Initials) == [(1, 5), (2, 5)]
+    assert spans(CAP_TEXTS[4], RuleId.R8_Initials) == [(0, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_proposal_keeps_to_its_span_cap(cap_engines, data):
+    vocabulary = cascade_vocabulary(cap_engines[0])
+    words = data.draw(st.lists(st.one_of(st.sampled_from(vocabulary),
+                                         st.sampled_from(CAP_TEXTS)), max_size=30))
+    engine = data.draw(st.sampled_from(cap_engines))
+    for p in _collect(engine, *engine._tokens(normalize_whitespace(" ".join(words)))):
+        assert p.end - p.start <= SPAN_CAPS[p.rule], (words, p)
+
+
 def test_cascade_runs_each_rule_once_after_its_blockers():
     order = [row.rule for row in pipeline._CASCADE]
     assert sorted(order, key=list(RuleId).index) == list(RuleId)
     for k, row in enumerate(pipeline._CASCADE):
         assert row.blocked_by <= set(order[:k]), row.rule
         assert callable(getattr(RuleSet, row.matcher)), row.matcher
+
+
+def fixed_texts(engine):
+    """``GATED``, the gold sentences and ``short_documents``."""
+    gold = [" ".join(doc.tokens) for doc in load_gold(DATA_DIR / "mini_gold.tsv").documents]
+    return GATED + gold + short_documents(engine)[0]
+
+
+def test_every_cascade_cell_changes_what_is_collected(engines, monkeypatch):
+    # Removing a ``blocked_by`` member or the ``free`` gate of a row
+    # changes the proposals on some fixed text of some variant.  ``then``
+    # and ``needs`` only skip starts whose matcher would find nothing, so
+    # removing either changes none.
+    inputs = [(engine, engine_tokens(engine, text))
+              for engine in engines for text in fixed_texts(engine)]
+
+    def collected():
+        return [sorted(_collect(engine, *tokens), key=sort_key) for engine, tokens in inputs]
+
+    expected = collected()
+    cascade = pipeline._CASCADE
+    mutants = []
+    for k, row in enumerate(cascade):
+        for member in sorted(row.blocked_by, key=list(RuleId).index):
+            mutants.append((f"{row.rule.name} blocked by {member.name}", k,
+                            row._replace(blocked_by=row.blocked_by - {member}), True))
+        for gate in ("free", "then", "needs"):
+            if getattr(row, gate):
+                mutants.append((f"{row.rule.name} {gate}", k,
+                                row._replace(**{gate: 0}), gate == "free"))
+    assert len(mutants) == 28
+    wrong = []
+    for name, k, mutant, changes in mutants:
+        monkeypatch.setattr(pipeline, "_CASCADE", cascade[:k] + (mutant,) + cascade[k + 1:])
+        if (collected() != expected) != changes:
+            wrong.append(name)
+    assert wrong == [], wrong
 
 
 def test_bench_hooks_count_every_matcher(engine, monkeypatch):
