@@ -2,8 +2,9 @@
 
 CorpusStore keeps tagged documents in an append-only jsonl file.  In
 memory it holds each record by id, one flat table of every stored entity
-beside its record id, and the table's row numbers per label and per rule,
-which ``query`` reads; reopening a store rebuilds all of them from disk.
+beside its record id, and the table's row numbers per label and per rule;
+reopening a store rebuilds all of them from disk.  The first query builds
+each row's result pair and casefolded surface, which ``query`` reads.
 GoldCorpus holds token/label sequences read from tab-separated files, and
 ``evaluate`` re-tags each gold document and scores the output token by
 token.
@@ -12,6 +13,7 @@ token.
 from __future__ import annotations
 
 import json
+import threading
 import warnings
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -50,12 +52,6 @@ _DOCSTART = "-DOCSTART-"
 _RAW_DECODE = json.JSONDecoder().raw_decode
 
 
-def _narrow(ids, entities, keep):
-    """The ids and entities at the positions ``keep`` marks true."""
-    keep = list(keep)
-    return list(compress(ids, keep)), list(compress(entities, keep))
-
-
 Location = Tuple[int, int, int]  # (record id, token_start, token_end)
 
 
@@ -77,7 +73,10 @@ class CorpusStore:
     order.  Beside the table it keeps, per label and per rule, the
     ascending row numbers of that label's or rule's entities; ``query``
     reads a label or rule from its rows and needs no sort.  All of it is
-    rebuilt on open.
+    rebuilt on open.  Each row's result pair ``(location, entity)`` and
+    casefolded surface are built by the first query, for the rows stored
+    so far, and by each later query for the rows appended since, so a
+    store that is only appended to or reopened builds none of them.
 
     A last line without its newline that is not valid UTF-8 or not JSON is
     a torn write: it is dropped with a warning, and the first append cuts
@@ -101,6 +100,11 @@ class CorpusStore:
         # would allocate a list on every call.
         self._label_rows: Dict[TagLabel, List[int]] = {label: [] for label in TagLabel}
         self._rule_rows: Dict[RuleId, List[int]] = {rule: [] for rule in RuleId}
+        # Per row of the table, as far as it reached at the last query:
+        # the pair ``query`` returns and the casefolded surface.
+        self._hits: List[Tuple[Location, EntitySpan]] = []
+        self._folded: List[str] = []
+        self._adding = threading.Lock()
         self._fh = None
         # The file's last record has no newline; the first append writes one.
         self._unterminated = False
@@ -208,23 +212,38 @@ class CorpusStore:
             if rule is None:
                 return []
         # A label, or else a rule, selects its rows; the rows ascend, so
-        # the hits stay in table order.  The later tests, the casefolded
-        # surface above all, run only on the rows kept so far.
-        ids, entities = self._entity_ids, self._entities
+        # the hits stay in table order.  The later tests, the surface
+        # above all, run only on the rows kept so far.
+        hits, folded = self._result_rows(), self._folded
+        rows = range(len(hits))
         if label is not None or rule is not None:
             rows = self._label_rows[label] if label is not None else self._rule_rows[rule]
-            ids = list(map(ids.__getitem__, rows))
-            entities = list(map(entities.__getitem__, rows))
-        if label is not None and rule is not None:
-            ids, entities = _narrow(
-                ids, entities, map(is_, map(SPAN_RULE, entities), repeat(rule)))
+            if label is not None and rule is not None:
+                rules = map(SPAN_RULE, map(self._entities.__getitem__, rows))
+                rows = list(compress(rows, map(is_, rules, repeat(rule))))
+            folded = map(folded.__getitem__, rows)
         if surface is not None:
-            folded = map(str.casefold, map(SPAN_SURFACE, entities))
-            ids, entities = _narrow(
-                ids, entities, map(contains, folded, repeat(surface.casefold())))
-        return list(zip(
-            zip(ids, map(SPAN_TOKEN_START, entities), map(SPAN_TOKEN_END, entities)),
-            entities))
+            rows = list(compress(rows, map(contains, folded, repeat(surface.casefold()))))
+        return list(map(hits.__getitem__, rows))
+
+    def _result_rows(self) -> List[Tuple[Location, EntitySpan]]:
+        """The result pair of every row of the entity table; first adds
+        the pairs and folded surfaces of the rows stored since the last
+        call."""
+        hits, entities = self._hits, self._entities
+        # One thread at a time adds rows, so threads whose queries race
+        # here add each row once.
+        with self._adding:
+            done = len(hits)
+            if done < len(entities):
+                new = entities[done:]
+                surfaces = list(map(SPAN_SURFACE, new))
+                # One folded string per distinct surface, shared by its rows.
+                fold = {s: s.casefold() for s in set(surfaces)}
+                self._folded.extend(map(fold.__getitem__, surfaces))
+                hits.extend(zip(zip(self._entity_ids[done:], map(SPAN_TOKEN_START, new),
+                                    map(SPAN_TOKEN_END, new)), new))
+        return hits
 
     def close(self):
         if self._fh is not None:

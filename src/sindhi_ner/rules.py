@@ -358,7 +358,9 @@ class RuleSet:
         The preceding token joins the span when it is word-kind, not a
         stopword, and leaves the span within its cap.  A letter-name
         predecessor means an initials context, so no proposal is made at
-        all: the initials rule owns that shape.
+        all: the initials rule owns that shape.  Nor is one made from a
+        surname inside a longer surname that starts at the preceding
+        token: that surname's own start decides.
         """
         hit = lookup_longest(self.gaz, tokens, i, SURNAME_CATEGORIES)
         if hit is None:
@@ -366,6 +368,12 @@ class RuleSet:
         end = i + hit[1]
         if i > 0:
             prev = tokens.norms[i - 1]
+            # The first-word table rules out a longer surname at ``i - 1``
+            # with one probe, so the longer lookup runs only where one may be.
+            if self.gaz.match_index(SURNAME_CATEGORIES)[0].get(prev, 0) > hit[1]:
+                outer = lookup_longest(self.gaz, tokens, i - 1, SURNAME_CATEGORIES)
+                if outer is not None and outer[1] > hit[1]:
+                    return None
             if prev in self.letters:
                 return None
             if (tokens.kinds[i - 1] == WORD and prev not in self.stopwords

@@ -22,11 +22,12 @@ from sindhi_ner.corpus import CorpusStore, evaluate, load_gold
 from sindhi_ner.errors import MalformedLine, NerError
 from sindhi_ner.gazetteer import Category, load_gazetteer, validate_sources
 from sindhi_ner.pipeline import (DATA_DIR, DEFAULT_CONFIG_PATH, RENDER_FORMATS, EngineConfig,
-                                 TaggedDocument, build_engine, load_config, render)
+                                 TaggedDocument, build_engine, load_config, parse_jsonl,
+                                 render)
 from sindhi_ner.text import EDGE_SPECIALS
 
 from test_acceptance import GOLDEN
-from test_pipeline import write_config
+from test_pipeline import memo_words, write_config
 
 SENTENCE = "اويس جمائي 05.06.2016 تي سنڌ يونيورسٽي ويو"
 INLINE = ("<PERSON>اويس جمائي</PERSON> <DATE>05.06.2016</DATE> تي "
@@ -249,6 +250,34 @@ class TestTag:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["tag", "--config", str(tmp_path / "ghost.conf")]) == 1
         assert capsys.readouterr().err.startswith("error:missing-data-file: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tag_jsonl_reads_back_the_source_and_spans(engine, data):
+    # Texts in files of their own, through ``tag --format jsonl``: one line
+    # per text with a token, equal to its rendering, whose entities'
+    # byte offsets slice their surfaces out of the read-back source.
+    texts = data.draw(st.lists(
+        st.builds(str.join, st.sampled_from([" ", "\n", " \t\r\n"]),
+                  st.lists(memo_words(engine), max_size=12)),
+        min_size=1, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, text in enumerate(texts):
+            paths.append(Path(tmp) / f"{k}.txt")
+            paths[-1].write_bytes(text.encode("utf-8"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["tag", "--format", "jsonl", *map(str, paths)]) == 0
+    docs = [doc for doc in map(engine.tag_text, texts) if len(doc.tokens)]
+    assert out.getvalue() == "".join(render(doc, "jsonl") + "\n" for doc in docs)
+    read_back = parse_jsonl(out.getvalue())
+    assert [source for source, _ in read_back] == [doc.source for doc in docs]
+    for source, entities in read_back:
+        encoded = source.encode("utf-8")
+        for e in entities:
+            assert encoded[e.start_byte:e.end_byte].decode("utf-8") == e.surface
 
 
 class TestEval:

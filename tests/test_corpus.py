@@ -3,8 +3,10 @@
 import dataclasses
 import itertools
 import json
+import sys
 import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -399,6 +401,61 @@ class TestStore:
         with CorpusStore(path) as st:
             assert [st.query(**f) for f in filters] == before
             check(st)
+
+    def test_queries_between_appends_and_reopens_match_linear_scan(
+            self, tmp_path, engine):
+        # Query, append, query, reopen, query: the result rows built by the
+        # first query take in the appended records and are built again after
+        # a reopen.
+        path = tmp_path / "corpus.jsonl"
+        tagged = [engine.tag_text(text) for text in SAMPLES + tuple(GATED)]
+        half = len(tagged) // 2
+        with CorpusStore(path) as st:
+            st.append(tagged[0])
+            assert_queries_match_scan(st)
+            for doc in tagged[1:half]:
+                st.append(doc)
+            assert_queries_match_scan(st)
+        with CorpusStore(path) as st:
+            assert_queries_match_scan(st)
+            for doc in tagged[half:]:
+                st.append(doc)
+            assert_queries_match_scan(st)
+            assert len(st._hits) == len(st._folded) == len(st._entities)
+        with CorpusStore(path) as st:
+            assert_queries_match_scan(st)
+
+    def test_threads_that_query_a_fresh_store_get_the_same_rows(self, tmp_path, engine):
+        # The first queries of several threads build the result rows at once.
+        path = tmp_path / "corpus.jsonl"
+        with CorpusStore(path) as st:
+            for text in SAMPLES * 40:
+                st.append(engine.tag_text(text))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with CorpusStore(path) as st:
+                    expected = [linear_scan(st, **f) for f in QUERY_FILTERS]
+                    with ThreadPoolExecutor(max_workers=4) as pool:
+                        futures = [pool.submit(lambda: [st.query(**f) for f in QUERY_FILTERS])
+                                   for _ in range(4)]
+                        results = [future.result(timeout=60) for future in futures]
+                    assert results == [expected] * 4
+                    assert len(st._hits) == len(st._folded) == len(st._entities)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_appending_and_reopening_build_no_result_rows(self, tmp_path, engine):
+        path = tmp_path / "corpus.jsonl"
+        with CorpusStore(path) as st:
+            for text in SAMPLES:
+                st.append(engine.tag_text(text))
+            assert (st._hits, st._folded) == ([], [])
+        with CorpusStore(path) as st:
+            assert st._entities and (st._hits, st._folded) == ([], [])
+            st.query(rule="R1_DateTime")
+            assert len(st._hits) == len(st._folded) == len(st._entities)
 
     @pytest.mark.parametrize("tail", [b" x", b"{}"])
     def test_record_with_trailing_data_is_corrupt(self, tmp_path, engine, tail):

@@ -882,11 +882,27 @@ def test_rules_4_and_8_keep_to_their_caps(cap_engines):
 
     # The word before a surname joins the span only if it fits in three.
     assert spans(CAP_TEXTS[0], RuleId.R4_SurnameTrigger) == [(2, 5)]
-    assert spans(CAP_TEXTS[2], RuleId.R4_SurnameTrigger) == [(0, 3), (1, 3)]
+    assert spans(CAP_TEXTS[2], RuleId.R4_SurnameTrigger) == [(0, 3)]
     # Initials start only at the letters from which they fit in four.
     assert spans(CAP_TEXTS[1], RuleId.R8_Initials) == [(2, 6)]
     assert spans(CAP_TEXTS[3], RuleId.R8_Initials) == [(1, 5), (2, 5)]
     assert spans(CAP_TEXTS[4], RuleId.R8_Initials) == [(0, 4)]
+
+
+def test_rule_4_leaves_a_surname_inside_a_longer_one_to_its_start(cap_engines):
+    # ``زرداري`` is a surname of its own and the tail of ``ڀٽو زرداري``:
+    # the longer surname's start, after a letter name, makes no R4 span,
+    # so the initials take the letters before it.
+    engine = cap_engines[-1]
+    assert render(engine.tag_text("بي سي ڀٽو زرداري"), "inline") == \
+        "<PERSON>بي سي ڀٽو زرداري</PERSON>"
+    assert render(engine.tag_text("اي بي سي ڀٽو زرداري"), "inline") == \
+        "اي <PERSON>بي سي ڀٽو زرداري</PERSON>"
+    # A word that only starts a longer surname is an ordinary word before
+    # the surname after it.
+    proposals = _collect(engine, *engine_tokens(engine, "زڪو مهر"))
+    assert [(p.start, p.end) for p in proposals if p.rule is RuleId.R4_SurnameTrigger] \
+        == [(0, 2)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -898,6 +914,25 @@ def test_every_proposal_keeps_to_its_span_cap(cap_engines, data):
     engine = data.draw(st.sampled_from(cap_engines))
     for p in _collect(engine, *engine._tokens(normalize_whitespace(" ".join(words)))):
         assert p.end - p.start <= SPAN_CAPS[p.rule], (words, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_priority_override_reorders_resolution_as_documented(engines, data):
+    # With ``priority.R=p``, every proposal of R carries p, and the
+    # entities are the documented greedy pass over the proposals.
+    base = data.draw(st.sampled_from(engines))
+    rule = data.draw(st.sampled_from(RuleId))
+    priority = data.draw(st.integers(-2, 12))
+    engine = build_engine(dataclasses.replace(
+        base.config, priorities={**base.config.priorities, rule: priority}))
+    words = data.draw(st.lists(st.sampled_from(cascade_vocabulary(base)), max_size=30))
+    text = " ".join(words)
+    proposals = _collect(engine, *engine._tokens(normalize_whitespace(text)))
+    assert [p for p in proposals if p.rule is rule and p.priority != priority] == []
+    assert [(e.token_start, e.token_end, e.label, e.rule)
+            for e in engine.tag_text(text).entities] == \
+        [(p.start, p.end, p.label, p.rule) for p in greedy_reference(proposals)]
 
 
 def test_cascade_runs_each_rule_once_after_its_blockers():
