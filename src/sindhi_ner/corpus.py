@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import threading
 import warnings
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import contains, is_
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CorruptStore,
@@ -44,6 +43,7 @@ from .pipeline import (
     render,
 )
 from .rules import LABEL_BY_VALUE, RULE_BY_VALUE, RuleId, TagLabel
+from .text import NO_ENTRIES
 
 _DOCSTART = "-DOCSTART-"
 
@@ -55,8 +55,7 @@ _RAW_DECODE = json.JSONDecoder().raw_decode
 Location = Tuple[int, int, int]  # (record id, token_start, token_end)
 
 
-@dataclass
-class StoredDocument:
+class StoredDocument(NamedTuple):
     doc_id: int
     text: str
     entities: List[EntitySpan]
@@ -83,9 +82,9 @@ class CorpusStore:
     the file back to the end of the last whole record.  Any other damaged
     line raises CorruptStore.  The file is opened for writing on the
     first append, so a store that is only read never writes; writes are
-    flushed per record.  Records returned by ``get`` and ``documents``
-    are the stored ones, in the order they were stored, and must not be
-    modified.
+    flushed per record.  ``get`` and ``documents`` return the stored
+    records, named tuples, in the order they were stored; a record's
+    ``entities`` is the stored list.
     """
 
     def __init__(self, path):
@@ -261,14 +260,12 @@ class CorpusStore:
 # Gold corpora
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoldDocument:
+class GoldDocument(NamedTuple):
     tokens: Tuple[str, ...]
     labels: Tuple[str, ...]  # label values or "O"
 
 
-@dataclass(frozen=True)
-class GoldCorpus:
+class GoldCorpus(NamedTuple):
     documents: Tuple[GoldDocument, ...]
 
     @property
@@ -315,8 +312,7 @@ def load_gold(path) -> GoldCorpus:
 # Scoring
 # --------------------------------------------------------------------------
 
-@dataclass
-class LabelScore:
+class LabelScore(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -335,11 +331,10 @@ class LabelScore:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     total_tokens: int
     correct_tokens: int
-    per_label: Dict[str, LabelScore] = field(default_factory=dict)
+    per_label: Mapping[str, LabelScore] = NO_ENTRIES
 
     @property
     def accuracy(self) -> float:
@@ -366,25 +361,22 @@ class EvalReport:
 def score_labels(gold: Sequence[Sequence[str]],
                  predicted: Sequence[Sequence[str]]) -> EvalReport:
     """Token-level scores for aligned gold and predicted label sequences."""
-    report = EvalReport(total_tokens=0, correct_tokens=0)
+    total = correct = 0
+    counts: Dict[str, List[int]] = {}  # per label: [tp, fp, fn]
     for gold_seq, pred_seq in zip(gold, predicted):
         if len(gold_seq) != len(pred_seq):
             raise TokenizationMismatch(
                 f"sequence lengths differ: {len(gold_seq)} gold vs "
                 f"{len(pred_seq)} predicted")
         for g, p in zip(gold_seq, pred_seq):
-            report.total_tokens += 1
+            total += 1
             if g == p:
-                report.correct_tokens += 1
+                correct += 1
             if p != "O":
-                score = report.per_label.setdefault(p, LabelScore())
-                if p == g:
-                    score.tp += 1
-                else:
-                    score.fp += 1
+                counts.setdefault(p, [0, 0, 0])[0 if p == g else 1] += 1
             if g != "O" and g != p:
-                report.per_label.setdefault(g, LabelScore()).fn += 1
-    return report
+                counts.setdefault(g, [0, 0, 0])[2] += 1
+    return EvalReport(total, correct, {name: LabelScore(*c) for name, c in counts.items()})
 
 
 def evaluate(engine: Engine, gold: GoldCorpus) -> EvalReport:

@@ -15,9 +15,8 @@ rather than :func:`load_gazetteer`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigError, DuplicateEntry, MalformedLine, MissingDataFile, NerError, UnknownCategory)
@@ -64,8 +63,7 @@ SINGLE_WORD_CATEGORIES = frozenset(
     (Category.NumberWord, Category.OrgKeyword, Category.AmbiguousName))
 
 
-@dataclass(frozen=True)
-class GazetteerEntry:
+class GazetteerEntry(NamedTuple):
     surface: str                # normalized words joined by single spaces
     words: Tuple[str, ...]
     category: Category

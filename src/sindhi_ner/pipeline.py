@@ -16,7 +16,6 @@ from __future__ import annotations
 import gc
 import json
 import re
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
 from json.encoder import encode_basestring
@@ -58,6 +57,7 @@ from .rules import (
 )
 from .text import (
     EDGE_SPECIALS,
+    NO_ENTRIES,
     NUMBER,
     TokenStream,
     WORD,
@@ -123,8 +123,7 @@ class EntitySpan(NamedTuple):
     for name in ("token_start", "token_end", "rule", "surface"))
 
 
-@dataclass(frozen=True)
-class TaggedDocument:
+class TaggedDocument(NamedTuple):
     """Tokenized text plus non-overlapping entities, ordered by start.
 
     ``source`` and ``untagged`` are read from the two fields each time.
@@ -149,8 +148,7 @@ class TaggedDocument:
         return tuple(chain.from_iterable(map(range, gap_starts, gap_ends)))
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(NamedTuple):
     """Paths and switches the engine is built from.
 
     Relative paths in a config file resolve against the file's directory.
@@ -165,15 +163,15 @@ class EngineConfig:
     letters: Path
     synonyms: Optional[Path] = None
     edge_specials: str = EDGE_SPECIALS
-    rule_flags: Mapping[RuleId, bool] = field(default_factory=dict)
-    priorities: Mapping[RuleId, int] = field(default_factory=dict)
+    rule_flags: Mapping[RuleId, bool] = NO_ENTRIES
+    priorities: Mapping[RuleId, int] = NO_ENTRIES
 
     @classmethod
     def default(cls) -> "EngineConfig":
         return load_config(DEFAULT_CONFIG_PATH)
 
     def with_gazetteers(self, paths: Sequence[Path]) -> "EngineConfig":
-        return replace(self, gazetteers=tuple(Path(p) for p in paths))
+        return self._replace(gazetteers=tuple(Path(p) for p in paths))
 
     @property
     def word_lists(self) -> Tuple[Tuple[Path, Optional[str]], ...]:
@@ -286,10 +284,6 @@ class Engine:
             [f"{suffix}\n" for suffix in rules.suffix_endings]
             + [f"\n{marker}\n" for marker in rules.person_markers])
         self._memo: Dict[str, Tuple[tuple, ...]] = {}
-
-    @property
-    def enabled_rules(self) -> Tuple[RuleId, ...]:
-        return tuple(rule for rule in RuleId if self.enabled[rule])
 
     def tag_text(self, raw: str) -> TaggedDocument:
         return tag_text(self, raw)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, NamedTuple, Optional
 
@@ -40,7 +39,7 @@ from .gazetteer import (
     TERM_SUFFIX,
     lookup_longest,
 )
-from .text import NUMBER, PUNCTUATION, WORD
+from .text import NUMBER, PUNCTUATION, WORD, refuse_assignment
 
 
 class TagLabel(enum.Enum):
@@ -204,21 +203,23 @@ def sort_key(p: Proposal):
             _LABEL_ORDER[p.label])
 
 
-@dataclass(frozen=True)
 class RuleSet:
     """Matchers bound to their data: gazetteer, word lists, suffix table.
 
     The values below are cached on first use.  The engine reads each of
-    them when it is built, so tagging builds none.
+    them when it is built, so tagging builds none.  Assigning to a rule
+    set raises AttributeError.
     """
 
-    gaz: Gazetteer
-    months: FrozenSet[str]
-    letters: FrozenSet[str]
-    stopwords: FrozenSet[str]
-    suffixes: Dict[str, TagLabel]
-    person_markers: FrozenSet[str]
-    priorities: Dict[RuleId, int]
+    def __init__(self, gaz: Gazetteer, months: FrozenSet[str], letters: FrozenSet[str],
+                 stopwords: FrozenSet[str], suffixes: Dict[str, TagLabel],
+                 person_markers: FrozenSet[str], priorities: Dict[RuleId, int]):
+        # Fields and cached values live in the instance dict, past the guard.
+        self.__dict__.update(gaz=gaz, months=months, letters=letters, stopwords=stopwords,
+                             suffixes=suffixes, person_markers=person_markers,
+                             priorities=priorities)
+
+    __setattr__ = __delattr__ = refuse_assignment
 
     @cached_property
     def number_words(self) -> frozenset:

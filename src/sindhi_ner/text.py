@@ -21,10 +21,9 @@ Examples::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
-from operator import add, itemgetter, not_, or_, sub
+from operator import add, attrgetter, itemgetter, not_, or_, sub
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import InvalidInput
@@ -60,27 +59,72 @@ class Token(NamedTuple):
     kind: str
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # sets a TokenStream field past its guard
+
+
+def refuse_assignment(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the package's read-only classes."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class _ReadOnlyEmpty(dict):
+    """An empty dict that refuses every change.  Unlike a mapping proxy,
+    it survives pickle and deepcopy."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a shared default mapping cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
+# The default of a named tuple's mapping field, which all its instances share.
+NO_ENTRIES = _ReadOnlyEmpty()
+
+
+_STREAM_FIELDS = ("source", "surfaces", "starts", "ends", "norms", "kinds")
+_stream_fields = attrgetter(*_STREAM_FIELDS)
+
+
 class TokenStream:
     """Immutable sequence of tokens plus the exact text they index.
 
     The tokens are stored as parallel columns, one tuple per Token field
     (``starts`` and ``ends`` split ``span``); the rules read the columns
     directly.  Indexing, slicing and iterating give Token views built on
-    demand.
+    demand.  Streams compare and hash by their six fields.
     """
 
-    source: str
-    surfaces: Tuple[str, ...]
-    starts: Tuple[int, ...]
-    ends: Tuple[int, ...]
-    norms: Tuple[str, ...]
-    kinds: Tuple[str, ...]
+    __slots__ = _STREAM_FIELDS
 
-    def __post_init__(self):
-        n = len(self.surfaces)
-        if not n == len(self.starts) == len(self.ends) == len(self.norms) == len(self.kinds):
+    def __init__(self, source: str, surfaces: Tuple[str, ...], starts: Tuple[int, ...],
+                 ends: Tuple[int, ...], norms: Tuple[str, ...], kinds: Tuple[str, ...]):
+        if not len(surfaces) == len(starts) == len(ends) == len(norms) == len(kinds):
             raise ValueError("token stream columns differ in length")
+        _set(self, "source", source)
+        _set(self, "surfaces", surfaces)
+        _set(self, "starts", starts)
+        _set(self, "ends", ends)
+        _set(self, "norms", norms)
+        _set(self, "kinds", kinds)
+
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _stream_fields(self) == _stream_fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_stream_fields(self))
+
+    def __reduce__(self):
+        return type(self), _stream_fields(self)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            map("%s=%r".__mod__, zip(self.__slots__, _stream_fields(self)))))
 
     @property
     def tokens(self) -> Tuple[Token, ...]:

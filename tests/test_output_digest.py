@@ -14,7 +14,6 @@ Outputs depend on Python's Unicode tables (``str.isalpha``, ``\\d``,
 they were recorded with.
 """
 
-import dataclasses
 import hashlib
 import random
 import unicodedata
@@ -128,8 +127,8 @@ def digest_engines(engine, tmp_path_factory):
     synonyms = tmp_path_factory.mktemp("digest") / "synonyms.tsv"
     synonyms.write_text("".join(f"{k}\t{v}\n" for k, v in VARIANT_SYNONYMS.items()),
                         "utf-8")
-    config = dataclasses.replace(EngineConfig.default(), edge_specials=VARIANT_SPECIALS,
-                                 synonyms=synonyms)
+    config = EngineConfig.default()._replace(edge_specials=VARIANT_SPECIALS,
+                                             synonyms=synonyms)
     return {"default": engine, "variant": build_engine(config)}
 
 

@@ -1,6 +1,5 @@
 """Engine assembly, tagging, conflict resolution, and rendering."""
 
-import dataclasses
 import gc
 import inspect
 import json
@@ -39,7 +38,8 @@ from sindhi_ner.pipeline import (
 )
 from sindhi_ner.rules import (
     DIRECT_LABELS, SPAN_CAPS, Proposal, RuleId, RuleSet, TagLabel, sort_key)
-from sindhi_ner.text import EDGE_SPECIALS, NUMBER, WORD, normalize_whitespace, tokenize
+from sindhi_ner.text import (
+    EDGE_SPECIALS, NUMBER, WORD, TokenStream, normalize_whitespace, tokenize)
 
 from test_acceptance import GOLDEN
 
@@ -164,7 +164,7 @@ class TestBuildEngine:
         assert engine.gaz is engine.rules.gaz
 
     def test_default_rules_all_enabled(self, engine):
-        assert len(engine.enabled_rules) == len(RuleId) == 12
+        assert sum(engine.enabled.values()) == len(RuleId) == 12
 
     def test_missing_gazetteer_file(self, tmp_path):
         ghost = tmp_path / "ghost.tsv"
@@ -177,7 +177,7 @@ class TestBuildEngine:
     def test_disabled_rule_never_fires(self, tmp_path, engine):
         path = write_config(tmp_path, extra_lines=("rule.R6_Postposition=off",))
         muted = build_engine(load_config(path))
-        assert RuleId.R6_Postposition not in muted.enabled_rules
+        assert not muted.enabled[RuleId.R6_Postposition]
         text = "شفقت جي ڪتاب وٺي آيو"
         assert any(e.rule is RuleId.R6_Postposition
                    for e in engine.tag_text(text).entities)
@@ -187,7 +187,7 @@ class TestBuildEngine:
         path = write_config(tmp_path, extra_lines=tuple(
             f"rule.{rule.name}=off" for rule in RuleId))
         inert = build_engine(load_config(path))
-        assert inert.enabled_rules == ()
+        assert not any(inert.enabled.values())
         doc = inert.tag_text("اويس جمائي 05.06.2016 تي سنڌ يونيورسٽي ويو")
         assert doc.entities == ()
         assert doc.untagged == tuple(range(len(doc.tokens)))
@@ -220,7 +220,7 @@ class TestTagText:
 
     def test_a_document_stores_its_tokens_and_entities_only(self, engine):
         doc = engine.tag_text("اويس جمائي 05.06.2016 تي سنڌ يونيورسٽي ويو")
-        fields = [f.name for f in dataclasses.fields(TaggedDocument)]
+        fields = list(TaggedDocument._fields)
         assert fields == ["tokens", "entities"]
         assert doc.source is doc.tokens.source
         assert doc.untagged == (3, 6)
@@ -430,8 +430,9 @@ class TestRender:
 
     def test_inline_source_utf8_cannot_encode_is_invalid_input(self, engine):
         doc = engine.tag_text("اويس ويو")
-        forged = dataclasses.replace(
-            doc, tokens=dataclasses.replace(doc.tokens, source=doc.source + " \ud800"))
+        t = doc.tokens
+        forged = doc._replace(tokens=TokenStream(doc.source + " \ud800", t.surfaces, t.starts,
+                                                 t.ends, t.norms, t.kinds))
         with pytest.raises(InvalidInput) as err:
             render(forged, "inline")
         assert err.value.code == "invalid-input"
@@ -649,7 +650,8 @@ def reference_stream(engine, source):
     """``tokenize`` with the engine's synonym map applied to the norms."""
     stream = tokenize(source, engine.config.edge_specials)
     syn = engine.synonyms
-    return dataclasses.replace(stream, norms=tuple(syn.get(n, n) for n in stream.norms))
+    return TokenStream(stream.source, stream.surfaces, stream.starts, stream.ends,
+                       tuple(syn.get(n, n) for n in stream.norms), stream.kinds)
 
 
 def reference_bits(engine, stream):
@@ -924,8 +926,8 @@ def test_a_priority_override_reorders_resolution_as_documented(engines, data):
     base = data.draw(st.sampled_from(engines))
     rule = data.draw(st.sampled_from(RuleId))
     priority = data.draw(st.integers(-2, 12))
-    engine = build_engine(dataclasses.replace(
-        base.config, priorities={**base.config.priorities, rule: priority}))
+    engine = build_engine(base.config._replace(
+        priorities={**base.config.priorities, rule: priority}))
     words = data.draw(st.lists(st.sampled_from(cascade_vocabulary(base)), max_size=30))
     text = " ".join(words)
     proposals = _collect(engine, *engine._tokens(normalize_whitespace(text)))
