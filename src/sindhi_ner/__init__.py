@@ -13,16 +13,6 @@ Quick start::
     print(render(doc, "inline"))
 """
 
-from .corpus import (
-    CorpusStore,
-    EvalReport,
-    GoldCorpus,
-    GoldDocument,
-    LabelScore,
-    evaluate,
-    load_gold,
-    score_labels,
-)
 from .errors import (
     ConfigError,
     CorruptStore,
@@ -64,6 +54,35 @@ from .rules import Proposal, RuleId, RuleSet, TagLabel
 from .text import Token, TokenStream, normalize_whitespace, tokenize
 
 __version__ = "0.1.0"
+
+# The names of ``sindhi_ner.corpus`` (store, gold corpora, scoring), which
+# neither ``build_engine`` nor tagging uses: the first access to any of
+# them loads the module (PEP 562), so a process that only tags never
+# compiles or runs it.
+_CORPUS_NAMES = (
+    "CorpusStore",
+    "EvalReport",
+    "GoldCorpus",
+    "GoldDocument",
+    "LabelScore",
+    "evaluate",
+    "load_gold",
+    "score_labels",
+)
+
+
+def __getattr__(name):
+    if name not in _CORPUS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import corpus
+
+    # Bound here, later lookups of these names no longer reach this hook.
+    globals().update({n: getattr(corpus, n) for n in _CORPUS_NAMES})
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_CORPUS_NAMES})
 
 __all__ = [
     "Category",

@@ -6,6 +6,10 @@ stderr line so callers can branch without parsing prose.
 
 Config resolution order: ``--config`` flag, then the NER_CONFIG
 environment variable, then the packaged default.
+
+The store and the evaluator (``sindhi_ner.corpus``) and the thread pool
+of ``tag --jobs`` are imported by the commands that use them, so that
+``tag`` without ``--store`` loads neither.
 """
 
 from __future__ import annotations
@@ -15,11 +19,9 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import CorpusStore, evaluate, load_gold
 from .errors import (
     InvalidInput,
     MalformedLine,
@@ -158,8 +160,10 @@ def _read_input(name: str) -> str:
             f"{where}: not valid UTF-8 at byte offset {exc.start}") from None
 
 
-def _open_store(path) -> CorpusStore:
+def _open_store(path):
     """Open a store, printing a dropped torn tail as one warning line."""
+    from .corpus import CorpusStore
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TornRecordWarning)
         store = CorpusStore(path)
@@ -175,6 +179,8 @@ def _cmd_tag(args) -> int:
     engine = build_engine(_resolve_config(args))
     texts = [_read_input(name) for name in args.inputs]
     if args.jobs > 1 and len(texts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             docs = list(pool.map(engine.tag_text, texts))
     else:
@@ -193,6 +199,8 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .corpus import evaluate, load_gold
+
     engine = build_engine(_resolve_config(args))
     report = evaluate(engine, load_gold(args.gold))
     if args.json:

@@ -61,6 +61,27 @@ class StoredDocument(NamedTuple):
     entities: List[EntitySpan]
 
 
+class _StoredEntities(list):
+    """A stored record's entities: a list that refuses every change, so
+    that a caller holding a record cannot change what the store holds.
+    ``list(entities)`` is a copy that can be changed."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a stored record's entities cannot be changed")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = clear = extend = insert = pop = remove = reverse = sort = _refuse
+
+    def __reduce__(self):
+        return _StoredEntities, (list(self),)
+
+
+# Shared by every record without entities: nothing can change it.
+_NO_STORED_ENTITIES = _StoredEntities()
+
+
 class CorpusStore:
     """Append-only jsonl store of tagged documents.
 
@@ -83,8 +104,10 @@ class CorpusStore:
     line raises CorruptStore.  The file is opened for writing on the
     first append, so a store that is only read never writes; writes are
     flushed per record.  ``get`` and ``documents`` return the stored
-    records, named tuples, in the order they were stored; a record's
-    ``entities`` is the stored list.
+    records, named tuples, in the order they were stored.  A record's
+    ``entities`` is a list that refuses every change (TypeError), so no
+    caller can change what a later ``get``, ``documents`` or ``query``
+    returns; ``list(record.entities)`` is a copy that can be changed.
     """
 
     def __init__(self, path):
@@ -125,7 +148,9 @@ class CorpusStore:
                             raise ValueError("data after the record")
                         doc_id = record["id"]
                         text = record["text"]
-                        entities = [entity_from_dict(d) for d in record["entities"]]
+                        entities = record["entities"]
+                        entities = (_StoredEntities(map(entity_from_dict, entities))
+                                    if entities != [] else _NO_STORED_ENTITIES)
                         if not isinstance(doc_id, int) or doc_id < self._next_id:
                             raise ValueError("record ids must increase")
                 except (ValueError, KeyError, TypeError) as exc:
@@ -166,7 +191,9 @@ class CorpusStore:
 
     def _append_jsonl(self, tagged: TaggedDocument, jsonl: str) -> int:
         """``append``, given ``render(tagged, "jsonl")``."""
-        doc = StoredDocument(self._next_id, tagged.source, list(tagged.entities))
+        entities = (_StoredEntities(tagged.entities) if tagged.entities
+                    else _NO_STORED_ENTITIES)
+        doc = StoredDocument(self._next_id, tagged.source, entities)
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
             if self._torn_at is not None:

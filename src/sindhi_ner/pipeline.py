@@ -19,7 +19,7 @@ import re
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
 from json.encoder import encode_basestring
-from operator import and_, attrgetter, eq, is_, itemgetter, mul, or_, sub
+from operator import and_, attrgetter, eq, is_, itemgetter, mul, ne, or_, sub
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -556,8 +556,15 @@ def resolve_conflicts(proposals: Iterable[Proposal],
     token_ends = list(map(_END, taken))
     start_bytes = list(map(stream.starts.__getitem__, token_starts))
     end_bytes = list(map(stream.ends.__getitem__, map(sub, token_ends, repeat(1))))
-    src = stream.source.encode("utf-8")
-    surfaces = map(bytes.decode, map(src.__getitem__, map(slice, start_bytes, end_bytes)))
+    # A one-token entity's surface is its token's own string; only the
+    # longer entities are decoded from the source's bytes.
+    surfaces = list(map(stream.surfaces.__getitem__, token_starts))
+    lengths = map(sub, token_ends, token_starts)
+    longer = list(compress(range(len(taken)), map(ne, lengths, repeat(1))))
+    if longer:
+        src = stream.source.encode("utf-8")
+        for n in longer:
+            surfaces[n] = src[start_bytes[n]:end_bytes[n]].decode()
     fields = zip(token_starts, token_ends, start_bytes, end_bytes,
                  map(_LABEL, taken), map(_RULE, taken), surfaces)
     # tuple.__new__ builds each EntitySpan from its field tuple without a

@@ -242,7 +242,10 @@ class RuleSet:
         return tuple(sorted(self.suffixes, key=len, reverse=True))
 
     def _make(self, start: int, end: int, label: TagLabel, rule: RuleId) -> Proposal:
-        return Proposal(start, end, label, rule, self.priorities[rule])
+        # Proposal.__new__'s check inline: one Python call per proposal.
+        if not 0 <= start < end:
+            raise ValueError(f"bad proposal range [{start}, {end})")
+        return tuple.__new__(Proposal, (start, end, label, rule, self.priorities[rule]))
 
     # -- rule 1: dates and times ------------------------------------------
 

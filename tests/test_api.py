@@ -37,16 +37,64 @@ def test_readme_python_api_names_import():
     assert set(names) <= set(sindhi_ner.__all__)
 
 
-def test_import_and_build_engine_load_neither_dataclasses_nor_inspect():
-    # Each costs milliseconds of every cold start.  -S keeps modules that
-    # site-packages hooks may import out of the count.
-    probe = ("import sys, sindhi_ner; sindhi_ner.build_engine(); "
-             "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def run_fresh(probe, *args):
+    """The stdout and stderr of ``probe`` run in a fresh interpreter with
+    the package on its path.  -S keeps modules that site-packages hooks
+    may import out of ``sys.modules``."""
     env = {key: value for key, value in os.environ.items() if key != "NER_CONFIG"}
     env["PYTHONPATH"] = str(ROOT / "src")
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.split() == []
+    out = subprocess.run([sys.executable, "-S", "-c", probe, *args], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    return out.stdout, out.stderr
+
+
+def test_import_and_build_engine_load_neither_dataclasses_nor_inspect():
+    # Each costs milliseconds of every cold start; so do the store and the
+    # evaluator, the CLI and the thread pool, none of which tagging uses.
+    unwanted = {"dataclasses", "inspect", "sindhi_ner.corpus", "sindhi_ner.cli",
+                "concurrent.futures"}
+    probe = ("import sys, sindhi_ner; sindhi_ner.build_engine(); "
+             f"print(*sorted({unwanted!r} & set(sys.modules)))")
+    assert run_fresh(probe)[0].split() == []
+
+
+def test_corpus_names_resolve_on_first_use():
+    probe = """
+import sys, sindhi_ner
+loaded_at_import = "sindhi_ner.corpus" in sys.modules
+listed = set(dir(sindhi_ner))
+star = {}
+exec("from sindhi_ner import *", star)
+values = {name: getattr(sindhi_ner, name) for name in sindhi_ner.__all__}
+try:
+    sindhi_ner.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+from sindhi_ner import cli, pipeline
+print(loaded_at_import)
+print(sorted(set(sindhi_ner.__all__) - listed))
+print(sorted(name for name in sindhi_ner.__all__ if star.get(name) is not values[name]))
+print(sindhi_ner.CorpusStore is sindhi_ner.corpus.CorpusStore,
+      sindhi_ner.load_gold is sindhi_ner.corpus.load_gold)
+print(unknown)
+print(cli.main is sindhi_ner.cli.main, pipeline.render is sindhi_ner.render)
+"""
+    assert run_fresh(probe)[0].splitlines() == [
+        "False", "[]", "[]", "True True",
+        "module 'sindhi_ner' has no attribute 'no_such_name'", "True True"]
+
+
+def test_tag_without_a_store_loads_neither_the_store_nor_a_thread_pool(tmp_path):
+    text = tmp_path / "in.txt"
+    text.write_text(SENTENCE + "\n", encoding="utf-8")
+    probe = ("import sys; from sindhi_ner import cli; code = cli.main(['tag', sys.argv[1]]); "
+             "print(code, *sorted({'sindhi_ner.corpus', 'concurrent.futures'} & set(sys.modules)),"
+             " file=sys.stderr)")
+    out, err = run_fresh(probe, str(text))
+    assert err.split() == ["0"]
+    assert out == ("<PERSON>اويس جمائي</PERSON> <DATE>05.06.2016</DATE> تي "
+                   "<ORGANIZATION>سنڌ يونيورسٽي</ORGANIZATION> ويو\n")
 
 
 @pytest.fixture(scope="module")

@@ -167,6 +167,34 @@ class TestStore:
         assert record.text == doc.source
         assert tuple(record.entities) == doc.entities
 
+    def test_a_returned_entity_list_cannot_change_the_store(self, store, engine):
+        doc = engine.tag_text(SAMPLES[0])
+        doc_id = store.append(doc)
+        empty_id = store.append(engine.tag_text("ويو"))
+        hits = store.query()
+        assert len(hits) == len(doc.entities) == 3
+        appended, reopened = store.get(doc_id), CorpusStore(store.path).get(doc_id)
+        for entities in (appended.entities, next(store.documents()).entities,
+                         reopened.entities, store.get(empty_id).entities):
+            changes = [entities.clear, entities.sort, entities.reverse, entities.pop,
+                       lambda: entities.append(doc.entities[0]),
+                       lambda: entities.extend(doc.entities),
+                       lambda: entities.insert(0, doc.entities[0]),
+                       lambda: entities.remove(doc.entities[0]),
+                       lambda: entities.__setitem__(0, doc.entities[1]),
+                       lambda: entities.__delitem__(slice(None)),
+                       lambda: entities.__iadd__(doc.entities),
+                       lambda: entities.__imul__(0)]
+            for change in changes:
+                with pytest.raises(TypeError):
+                    change()
+            assert isinstance(entities, list) and entities in (list(doc.entities), [])
+            mutable = list(entities)
+            mutable.clear()
+        assert store.get(doc_id).entities == list(doc.entities)
+        assert [d.entities for d in store.documents()] == [list(doc.entities), []]
+        assert store.query() == hits
+
     def test_documents_ordered_by_id(self, store, engine):
         for text in SAMPLES:
             store.append(engine.tag_text(text))
@@ -308,6 +336,14 @@ class TestStore:
     def test_corrupt_missing_field(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"id": 1, "text": "x"}) + "\n", "utf-8")
+        with pytest.raises(CorruptStore):
+            CorpusStore(path)
+
+    @pytest.mark.parametrize("entities", [None, 3, True])
+    def test_corrupt_entities_that_are_no_list(self, tmp_path, entities):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"id": 1, "text": "x", "entities": entities}) + "\n",
+                        "utf-8")
         with pytest.raises(CorruptStore):
             CorpusStore(path)
 

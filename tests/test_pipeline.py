@@ -420,6 +420,15 @@ class TestResolveConflicts:
         assert span.end_byte == stream[1].span[1]
         assert span.surface == "اويس جمائي"
 
+    def test_one_token_entities_share_the_token_surface(self):
+        stream = tokenize("(اويس) جمائي، ڪراچي ويو")
+        spans = resolve_conflicts(
+            [Proposal(1, 2, TagLabel.PERSON, RuleId.R3_GazetteerName, 2),
+             Proposal(3, 6, TagLabel.LOCATION, RuleId.R_GazetteerDirect, 0)],
+            stream)
+        assert [s.surface for s in spans] == ["اويس", "جمائي، ڪراچي"]
+        assert spans[0].surface is stream.surfaces[1]
+
 
 class TestRender:
     def test_inline(self, engine):

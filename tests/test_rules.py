@@ -326,6 +326,15 @@ class TestProposalOrdering:
         with pytest.raises(ValueError):
             Proposal(-1, 1, TagLabel.PERSON, RuleId.R3_GazetteerName, 2)
 
+    @pytest.mark.parametrize("start, end", [(2, 2), (3, 1), (-1, 1)])
+    def test_rules_refuse_an_empty_or_negative_range(self, rules, start, end):
+        with pytest.raises(ValueError, match=fr"^bad proposal range \[{start}, {end}\)$"):
+            rules._make(start, end, TagLabel.PERSON, RuleId.R3_GazetteerName)
+        made = rules._make(0, 2, TagLabel.PERSON, RuleId.R3_GazetteerName)
+        assert type(made) is Proposal
+        assert made == Proposal(0, 2, TagLabel.PERSON, RuleId.R3_GazetteerName,
+                                rules.priorities[RuleId.R3_GazetteerName])
+
     def test_replace_rechecks_range(self):
         p = Proposal(2, 4, TagLabel.PERSON, RuleId.R3_GazetteerName, 2)
         assert p._replace(end=3) == Proposal(2, 3, TagLabel.PERSON,
