@@ -141,12 +141,13 @@ def _resolve_config(args) -> EngineConfig:
 
 
 def _read_input(name: str) -> str:
-    """The text of an input file, or of stdin for ``-``, read as UTF-8."""
+    """The text of an input file, or of stdin for ``-``, read as UTF-8,
+    less one leading byte-order mark; an error's byte offset counts it."""
     if name == "-":
         # Stdin's bytes are decoded like a file's, whatever the locale; a
         # stream with no bytes beneath it (StringIO) is already text.
         if not hasattr(sys.stdin, "buffer"):
-            return sys.stdin.read()
+            return sys.stdin.read().removeprefix("\ufeff")
         where, data = "stdin", sys.stdin.buffer.read()
     else:
         path = Path(name)
@@ -154,7 +155,7 @@ def _read_input(name: str) -> str:
             raise MissingDataFile(path)
         where, data = str(path), path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InvalidInput(
             f"{where}: not valid UTF-8 at byte offset {exc.start}") from None

@@ -151,8 +151,10 @@ class CorpusStore:
                         entities = record["entities"]
                         entities = (_StoredEntities(map(entity_from_dict, entities))
                                     if entities != [] else _NO_STORED_ENTITIES)
-                        if not isinstance(doc_id, int) or doc_id < self._next_id:
-                            raise ValueError("record ids must increase")
+                        if type(doc_id) is not int or doc_id < self._next_id:
+                            raise ValueError("record ids must be increasing ints")
+                        if type(text) is not str:
+                            raise ValueError("a record's text must be a str")
                 except (ValueError, KeyError, TypeError) as exc:
                     if raw.endswith(b"\n") or not isinstance(
                             exc, (UnicodeDecodeError, json.JSONDecodeError)):

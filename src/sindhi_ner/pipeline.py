@@ -38,20 +38,15 @@ from .gazetteer import (
     read_lines,
 )
 from .rules import (
-    ABBREVIATION_CATEGORIES,
     DEFAULT_PRIORITIES,
-    DIRECT_CATEGORIES,
     LABEL_BY_VALUE,
     LABEL_VALUE,
-    PERSON_CATEGORIES,
     Proposal,
     RULE_BY_VALUE,
     RULE_VALUE,
     RuleId,
     RuleSet,
     SUFFIX_LABELS,
-    SURNAME_CATEGORIES,
-    TITLE_CATEGORIES,
     TagLabel,
     sort_key,
 )
@@ -182,8 +177,10 @@ class EngineConfig(NamedTuple):
 
 
 def load_config(path) -> EngineConfig:
-    """Parse a flat key=value config file into an EngineConfig.  A key
-    with an empty value, like an absent key, keeps its field's default."""
+    """Parse a flat key=value config file into an EngineConfig.  An empty
+    ``synonyms`` or ``edge_specials`` value keeps its default, like an
+    absent key; an empty required key counts as missing, and an empty
+    ``rule.*`` or ``priority.*`` value raises ConfigError."""
     path = Path(path)
     base = path.parent
     values: Dict[str, object] = {}
@@ -252,25 +249,22 @@ class Engine:
 
     def __init__(self, config: EngineConfig, rules: RuleSet, synonyms: Mapping[str, str]):
         self.config = config
-        gaz = self.gaz = rules.gaz
+        self.gaz = rules.gaz
         self.rules = rules
         self.synonyms = dict(synonyms)
         self.enabled: Dict[RuleId, bool] = {
             rule: bool(config.rule_flags.get(rule, True)) for rule in RuleId}
         # Scan gates: a rule can start a match only at a norm that carries
         # its gate bit, so one pass over the norms finds every candidate.
-        # The table, with the suffix probes below, builds the gazetteer's
-        # lookup index of every category set the cascade looks up and every
-        # cached RuleSet value, so tagging builds none of them.
         gate_sets = (
-            (_DIRECT, gaz.match_index(DIRECT_CATEGORIES)[0]),
-            (_TITLE, gaz.match_index(TITLE_CATEGORIES)[0]),
-            (_SURNAME, gaz.match_index(SURNAME_CATEGORIES)[0]),
-            (_NAME, gaz.match_index(PERSON_CATEGORIES)[0]),
+            (_DIRECT, rules.direct_heads),
+            (_TITLE, rules.title_heads),
+            (_SURNAME, rules.surname_heads),
+            (_NAME, rules.person_heads),
             (_LETTER, rules.letters),
             (_AMBIGUOUS, rules.ambiguous_names),
             (_NUMBER_WORD, rules.number_words),
-            (_ABBREVIATION, gaz.match_index(ABBREVIATION_CATEGORIES)[0]),
+            (_ABBREVIATION, rules.abbreviation_heads),
             (_ORG_KEYWORD, rules.org_keywords),
         )
         self._gates: Dict[str, int] = {}
@@ -638,16 +632,22 @@ def entity_to_dict(e: EntitySpan) -> dict:
 def entity_from_dict(d: Mapping) -> EntitySpan:
     """The EntitySpan of an ``entity_to_dict`` mapping.
 
-    Raises ValueError for a label or rule that names no member.
+    Raises ValueError for a label or rule that names no member, an offset
+    that is not an ``int`` (a ``bool`` included) or a surface that is not
+    a ``str``.
     """
     label, rule = d["label"], d["rule"]
     try:
         label, rule = LABEL_BY_VALUE[label], RULE_BY_VALUE[rule]
     except (KeyError, TypeError):
         raise ValueError(f"unknown label or rule: {label!r}, {rule!r}") from None
+    token_start, token_end, start_byte, end_byte, surface = (
+        d["token_start"], d["token_end"], d["start_byte"], d["end_byte"], d["surface"])
+    if not (type(token_start) is type(token_end) is type(start_byte) is type(end_byte) is int
+            and type(surface) is str):
+        raise ValueError(f"an entity's offsets must be int and its surface str: {d!r}")
     return tuple.__new__(EntitySpan, (
-        d["token_start"], d["token_end"], d["start_byte"], d["end_byte"],
-        label, rule, d["surface"]))
+        token_start, token_end, start_byte, end_byte, label, rule, surface))
 
 
 def _render_jsonl(doc: TaggedDocument) -> str:

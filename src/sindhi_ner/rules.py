@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import re
-from functools import cached_property
 from typing import Dict, FrozenSet, List, NamedTuple, Optional
 
 from .gazetteer import (
@@ -123,10 +122,7 @@ DIRECT_LABELS = {
     Category.Abbreviation: TagLabel.ABBREVIATION,
 }
 
-# Category sets the cascade looks up while tagging.  The engine's gate
-# table (``pipeline.Engine.__init__``) builds the gazetteer's lookup index
-# of each set, so no index is built inside tag_text; a new hot-path set
-# belongs in that table too.
+# Category sets the cascade looks up while tagging.
 DIRECT_CATEGORIES = frozenset(DIRECT_LABELS)
 PERSON_CATEGORIES = frozenset((Category.PersonFirstName,))
 TITLE_CATEGORIES = frozenset((Category.Title, Category.Designation))
@@ -206,40 +202,33 @@ def sort_key(p: Proposal):
 class RuleSet:
     """Matchers bound to their data: gazetteer, word lists, suffix table.
 
-    The values below are cached on first use.  The engine reads each of
-    them when it is built, so tagging builds none.  Assigning to a rule
-    set raises AttributeError.
+    Every word set and first-word table the matchers and the engine's scan
+    gates read is built here; the ``*_heads`` tables map each first word
+    of a category set's entries to the most words of any of them.
+    Assigning to a rule set raises AttributeError.
     """
 
     def __init__(self, gaz: Gazetteer, months: FrozenSet[str], letters: FrozenSet[str],
                  stopwords: FrozenSet[str], suffixes: Dict[str, TagLabel],
                  person_markers: FrozenSet[str], priorities: Dict[RuleId, int]):
-        # Fields and cached values live in the instance dict, past the guard.
-        self.__dict__.update(gaz=gaz, months=months, letters=letters, stopwords=stopwords,
-                             suffixes=suffixes, person_markers=person_markers,
-                             priorities=priorities)
+        words = gaz.single_token_norms
+        # The fields live in the instance dict, past the guard.
+        self.__dict__.update(
+            gaz=gaz, months=months, letters=letters, stopwords=stopwords,
+            suffixes=suffixes, person_markers=person_markers, priorities=priorities,
+            number_words=words(Category.NumberWord),
+            org_keywords=words(Category.OrgKeyword),
+            # The one-word names rule 6 resolves: ambiguous or first names.
+            ambiguous_names=words(Category.AmbiguousName) | words(Category.PersonFirstName),
+            # Longest first; among suffixes of one length, table order decides.
+            suffix_endings=tuple(sorted(suffixes, key=len, reverse=True)),
+            direct_heads=gaz.match_index(DIRECT_CATEGORIES)[0],
+            person_heads=gaz.match_index(PERSON_CATEGORIES)[0],
+            title_heads=gaz.match_index(TITLE_CATEGORIES)[0],
+            surname_heads=gaz.match_index(SURNAME_CATEGORIES)[0],
+            abbreviation_heads=gaz.match_index(ABBREVIATION_CATEGORIES)[0])
 
     __setattr__ = __delattr__ = refuse_assignment
-
-    @cached_property
-    def number_words(self) -> frozenset:
-        return self.gaz.single_token_norms(Category.NumberWord)
-
-    @cached_property
-    def org_keywords(self) -> frozenset:
-        return self.gaz.single_token_norms(Category.OrgKeyword)
-
-    @cached_property
-    def ambiguous_names(self) -> frozenset:
-        """The one-word names rule 6 resolves: ambiguous or first names."""
-        return (self.gaz.single_token_norms(Category.AmbiguousName)
-                | self.gaz.single_token_norms(Category.PersonFirstName))
-
-    @cached_property
-    def suffix_endings(self) -> tuple:
-        """The listed suffixes, longest first; among suffixes of one
-        length, table order decides."""
-        return tuple(sorted(self.suffixes, key=len, reverse=True))
 
     def _make(self, start: int, end: int, label: TagLabel, rule: RuleId) -> Proposal:
         # Proposal.__new__'s check inline: one Python call per proposal.
@@ -374,7 +363,7 @@ class RuleSet:
             prev = tokens.norms[i - 1]
             # The first-word table rules out a longer surname at ``i - 1``
             # with one probe, so the longer lookup runs only where one may be.
-            if self.gaz.match_index(SURNAME_CATEGORIES)[0].get(prev, 0) > hit[1]:
+            if self.surname_heads.get(prev, 0) > hit[1]:
                 outer = lookup_longest(self.gaz, tokens, i - 1, SURNAME_CATEGORIES)
                 if outer is not None and outer[1] > hit[1]:
                     return None

@@ -97,6 +97,28 @@ class TestTag:
         assert err.startswith("error:invalid-input: stdin: ")
         assert "byte offset 9" in err
 
+    @pytest.mark.parametrize("fmt", RENDER_FORMATS)
+    def test_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, capsys, fmt):
+        text = "ڪراچي ويو"
+        outputs = []
+        for data in (text.encode("utf-8"), b"\xef\xbb\xbf" + text.encode("utf-8")):
+            src = tmp_path / "doc.txt"
+            src.write_bytes(data)
+            assert main(["tag", "--format", fmt, str(src)]) == 0
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            assert main(["tag", "--format", fmt]) == 0
+            monkeypatch.setattr("sys.stdin", io.StringIO(data.decode("utf-8")))
+            assert main(["tag", "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert "\ufeff" not in outputs[0] and "LOCATION" in outputs[0]
+
+    def test_invalid_utf8_offset_counts_the_byte_order_mark(self, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"\xef\xbb\xbfab\xff")
+        assert main(["tag", str(src)]) == 1
+        assert "byte offset 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("data, code, out", [
         (b"\xff\xfe bad", 1, ""),
         (SENTENCE.encode("utf-8"), 0, INLINE + "\n")])
@@ -366,6 +388,14 @@ class TestQuery:
     def test_missing_store(self, tmp_path, capsys):
         assert main(["query", "--store", str(tmp_path / "ghost.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error:missing-data-file: ")
+
+    def test_store_with_a_string_offset_is_corrupt(self, tmp_path, engine, capsys):
+        record = {"id": 1, **json.loads(render(engine.tag_text(SENTENCE), "jsonl"))}
+        record["entities"][1]["token_start"] = "2"
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["query", "--store", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:corrupt-store: ")
 
     def test_corrupt_store(self, tmp_path, capsys):
         path = tmp_path / "corpus.jsonl"

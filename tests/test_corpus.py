@@ -347,6 +347,36 @@ class TestStore:
         with pytest.raises(CorruptStore):
             CorpusStore(path)
 
+    # Each damage gives a record of SAMPLES[0] (three entities) a JSON value
+    # of the wrong type.
+    ENTITY_DAMAGE = {
+        "string offset": lambda r: r["entities"][1].update(token_start="3"),
+        "bool offset": lambda r: r["entities"][0].update(start_byte=False),
+        "null surface": lambda r: r["entities"][0].update(surface=None),
+    }
+    RECORD_DAMAGE = {
+        "bool id": lambda r: r.update(id=True),
+        "list text": lambda r: r.update(text=[r["text"]]),
+    }
+
+    def damaged(self, engine, damage):
+        record = {"id": 1, **json.loads(render(engine.tag_text(SAMPLES[0]), "jsonl"))}
+        {**self.ENTITY_DAMAGE, **self.RECORD_DAMAGE}[damage](record)
+        return record
+
+    @pytest.mark.parametrize("damage", [*ENTITY_DAMAGE, *RECORD_DAMAGE])
+    def test_corrupt_json_types(self, tmp_path, engine, damage):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(self.damaged(engine, damage)) + "\n", "utf-8")
+        with pytest.raises(CorruptStore) as err:
+            CorpusStore(path)
+        assert err.value.byte_offset == 0
+
+    @pytest.mark.parametrize("damage", ENTITY_DAMAGE)
+    def test_parse_jsonl_refuses_wrong_entity_types(self, engine, damage):
+        with pytest.raises(ValueError):
+            parse_jsonl(json.dumps(self.damaged(engine, damage)))
+
     def test_close_is_idempotent(self, tmp_path, engine):
         st = CorpusStore(tmp_path / "corpus.jsonl")
         st.append(engine.tag_text(SAMPLES[0]))

@@ -1,12 +1,13 @@
 """No module under src/sindhi_ner imports a name it never uses, or
-binds a module-level name that nothing reads.
+defines a module-level name, function or class, or a method of a
+module-level class, that nothing reads.
 
 The import check stands in for flake8's F401 with ``ast`` alone.
 ``__init__.py`` is left out of it: it imports names to re-export them.
 An import on a line marked ``# noqa: F401`` is exempt, as flake8 exempts
 it.  The dead-name check looks for reads in every Python file under
-``src/``, ``tests/`` and ``bench/``, as a name, an attribute or an
-imported name; dunder names are exempt.
+``src/``, ``tests/`` and ``bench/``, as a name, an attribute, an
+imported name or a string constant; dunder names are exempt.
 """
 
 import ast
@@ -74,31 +75,47 @@ def test_the_guard_finds_an_unused_import():
             if name not in used] == ["os", "List"]
 
 
-def assigned_names(tree):
-    """(name, line number) of each module-level name an assignment binds,
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(tree):
+    """(name, line number) of each module-level name an assignment, a
+    function or a class binds, and of each method of a module-level class,
     bar dunders."""
     for node in tree.body:
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign):
             targets = [node.target]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = []
+            if not _is_dunder(node.name):
+                yield node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not _is_dunder(method.name)):
+                        yield method.name, method.lineno
         else:
             continue
         for target in targets:
             for name in ast.walk(target):
-                if (isinstance(name, ast.Name)
-                        and not (name.id.startswith("__") and name.id.endswith("__"))):
+                if isinstance(name, ast.Name) and not _is_dunder(name.id):
                     yield name.id, node.lineno
 
 
 def read_names(tree):
-    """Every name a file reads: as a name, an attribute or an import."""
+    """Every name a file reads: as a name, an attribute, an import or a
+    string constant (the cascade and the bench name matchers by string)."""
     names = used_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
     return names
 
 
@@ -108,14 +125,18 @@ def test_no_dead_module_name():
         read |= read_names(ast.parse(path.read_text(encoding="utf-8")))
     dead = [f"{path.name}:{lineno}: {name}"
             for path in sorted(PACKAGE.glob("*.py"))
-            for name, lineno in assigned_names(ast.parse(path.read_text(encoding="utf-8")))
+            for name, lineno in defined_names(ast.parse(path.read_text(encoding="utf-8")))
             if name not in read]
     assert dead == []
 
 
 def test_the_guard_finds_a_dead_name():
     tree = ast.parse("__all__ = []\nA = 1\nB, (C, D) = 2, (3, 4)\nE: int = A\n"
-                     "def f(): return g.B\n")
-    other = ast.parse("from m import C\n")
+                     "def f(): return g.B\ndef __getattr__(name): pass\n"
+                     "class K:\n    def __init__(self): pass\n    def m(self): pass\n"
+                     "    def n(self): return getattr(self, 'm')\n"
+                     "def h(): pass\n")
+    other = ast.parse("from m import C, K\nh()\n")
     read = read_names(tree) | read_names(other)
-    assert [name for name, _ in assigned_names(tree) if name not in read] == ["D", "E"]
+    assert [name for name, _ in defined_names(tree)
+            if name not in read] == ["D", "E", "f", "n"]

@@ -149,6 +149,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="gazetteers"):
             load_config(path)
 
+    @pytest.mark.parametrize("line, error", [
+        ("edge_specials=", None),
+        ("synonyms=", None),
+        ("rule.R2_Suffix=", "expected on/off"),
+        ("priority.R2_Suffix=", "integer"),
+        *[(f"{key}=", f"missing required key '{key}'")
+          for key in ("gazetteers", "suffixes", "stopwords", "months", "letters")]])
+    def test_empty_values(self, tmp_path, line, error):
+        # A later line sets the key again, so the empty value is the one read.
+        path = write_config(tmp_path, extra_lines=(line,))
+        if error is None:
+            key = line[:-1]
+            assert getattr(load_config(path), key) == EngineConfig._field_defaults[key]
+        else:
+            with pytest.raises(ConfigError, match=error):
+                load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingDataFile):
             load_config(tmp_path / "absent.conf")
@@ -1044,15 +1061,15 @@ def test_a_rule_switched_off_tags_nothing(engine, rule_off_engines, rule, data):
 
 
 def test_tagging_builds_nothing():
-    # build_engine builds every lookup index and cached RuleSet value that
-    # tagging reads, so tagging adds none of them.
+    # A RuleSet builds every word set and gazetteer lookup index that
+    # tagging reads when it is constructed, so tagging adds none of them.
     engine = build_engine()
     indexes = set(engine.gaz._indexes)
-    cached = dict(vars(engine.rules))
+    fields = dict(vars(engine.rules))
     for text in COVERAGE_TEXTS:
         engine.tag_text(text)
     assert set(engine.gaz._indexes) == indexes
-    assert vars(engine.rules) == cached
+    assert vars(engine.rules) == fields
 
 
 # --------------------------------------------------------------------------

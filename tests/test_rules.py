@@ -25,7 +25,8 @@ def stream(text):
 
 
 def replace_fields(rules, **changes):
-    """A new RuleSet: ``rules``' fields with ``changes`` applied, no value cached."""
+    """A new RuleSet built from ``rules``' constructor fields with
+    ``changes`` applied; its word sets and tables are built from those."""
     names = ("gaz", "months", "letters", "stopwords", "suffixes", "person_markers",
              "priorities")
     return RuleSet(**{name: changes.get(name, getattr(rules, name)) for name in names})
