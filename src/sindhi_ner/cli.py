@@ -35,6 +35,7 @@ from .gazetteer import (
     is_skipped_line,
     load_gazetteer,
     parse_entry,
+    read_bytes,
     read_lines,
     validate_sources,
 )
@@ -144,6 +145,8 @@ def _read_input(name: str) -> str:
     """The text of an input file, or of stdin for ``-``, read as UTF-8,
     less one leading byte-order mark; an error's byte offset counts it."""
     if name == "-":
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
         # Stdin's bytes are decoded like a file's, whatever the locale; a
         # stream with no bytes beneath it (StringIO) is already text.
         if not hasattr(sys.stdin, "buffer"):
@@ -151,9 +154,7 @@ def _read_input(name: str) -> str:
         where, data = "stdin", sys.stdin.buffer.read()
     else:
         path = Path(name)
-        if not path.is_file():
-            raise MissingDataFile(path)
-        where, data = str(path), path.read_bytes()
+        where, data = str(path), read_bytes(path)
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -259,12 +260,18 @@ def _cmd_gazetteer(args) -> int:
 def _gazetteer_add(args, config: EngineConfig) -> int:
     target = Path(args.file)
     paths = list(config.gazetteers)
-    if target.exists() and target.resolve() not in {p.resolve() for p in paths}:
+    if target.resolve() not in {p.resolve() for p in paths}:
         paths.append(target)
-    merged = load_gazetteer([p for p in paths if Path(p).is_file()],
-                            config.edge_specials)
+    try:
+        lines = list(read_lines(target))
+    except MissingDataFile:
+        # The append creates the target; every other file must exist.
+        paths = [p for p in paths if p.resolve() != target.resolve()]
+        lines = []
+    except (NerError, OSError):
+        lines = []  # loading the target raises it again, after an earlier file's error
+    merged = load_gazetteer(paths, config.edge_specials)
     seen = {(e.words, e.category): e.source for e in merged.entries()}
-    lines = list(read_lines(target)) if target.exists() else []
     lineno = len(lines) + 1
     # The argument is read as the loaders read a line of the target.
     entry = parse_entry(target, lineno, args.surface, args.category,
@@ -303,6 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
+        if sys.stdout is None:  # checked before a command stores or appends
+            raise OSError("stdout is closed")
         return _DISPATCH[args.command](args)
     except NerError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)

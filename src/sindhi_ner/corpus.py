@@ -149,8 +149,10 @@ class CorpusStore:
                         doc_id = record["id"]
                         text = record["text"]
                         entities = record["entities"]
+                        if type(entities) is not list:
+                            raise ValueError("a record's entities must be a list")
                         entities = (_StoredEntities(map(entity_from_dict, entities))
-                                    if entities != [] else _NO_STORED_ENTITIES)
+                                    if entities else _NO_STORED_ENTITIES)
                         if type(doc_id) is not int or doc_id < self._next_id:
                             raise ValueError("record ids must be increasing ints")
                         if type(text) is not str:
@@ -389,7 +391,14 @@ class EvalReport(NamedTuple):
 
 def score_labels(gold: Sequence[Sequence[str]],
                  predicted: Sequence[Sequence[str]]) -> EvalReport:
-    """Token-level scores for aligned gold and predicted label sequences."""
+    """Token-level scores for aligned gold and predicted label sequences.
+
+    Raises TokenizationMismatch when the two hold different numbers of
+    documents or a pair of sequences differs in length.
+    """
+    if len(gold) != len(predicted):
+        raise TokenizationMismatch(
+            f"document counts differ: {len(gold)} gold vs {len(predicted)} predicted")
     total = correct = 0
     counts: Dict[str, List[int]] = {}  # per label: [tp, fp, fn]
     for gold_seq, pred_seq in zip(gold, predicted):

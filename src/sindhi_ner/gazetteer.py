@@ -15,7 +15,7 @@ rather than :func:`load_gazetteer`.
 from __future__ import annotations
 
 import enum
-from pathlib import Path
+import io
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -155,28 +155,29 @@ def gazetteer_stats(gaz: Gazetteer) -> Dict[Category, int]:
 # validate_sources drains the same generators and lists every error.
 # --------------------------------------------------------------------------
 
-def read_lines(path) -> Iterator[Tuple[int, str]]:
-    """(lineno, line) for every line of a UTF-8 text file.
-
-    A leading byte-order mark is dropped.  Raises MissingDataFile when
-    ``path`` is not a file, and MalformedLine naming the first line that
-    is not valid UTF-8.
-    """
-    if not Path(path).is_file():
-        raise MissingDataFile(path)
+def read_bytes(path) -> bytes:
+    """The bytes of a file, read once, so that a named pipe or /dev/stdin
+    reads like a file.  Raises MissingDataFile when ``path`` does not
+    exist, is a directory or holds a null byte (ValueError in ``open``)."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return enumerate(fh.readlines(), 1)
-    except UnicodeDecodeError:
-        # Invalid bytes decode to lone surrogates, which valid UTF-8 never
-        # yields, so the first line that fails a strict encode is the bad one.
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise MalformedLine(path, lineno, "not valid UTF-8") from None
-        raise
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
+        raise MissingDataFile(path) from None
+
+
+def read_lines(path) -> Iterator[Tuple[int, str]]:
+    """(lineno, line) for every line of a UTF-8 file read by read_bytes,
+    less one leading byte-order mark.  Lines end at ``\\n``, ``\\r\\n`` or a
+    lone ``\\r``, each read as ``\\n``, as text mode reads them.  Raises
+    MalformedLine naming the line of the first byte not valid UTF-8."""
+    data = read_bytes(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise MalformedLine(path, head.count(b"\n") + 1, "not valid UTF-8") from None
+    return enumerate(io.StringIO(text.removeprefix("\ufeff"), newline=None), 1)
 
 
 def is_skipped_line(line: str) -> bool:

@@ -670,12 +670,21 @@ def parse_jsonl(text: str) -> List[Tuple[str, List[EntitySpan]]]:
 
     Lines end at ``"\\n"`` only: a JSON line holds no raw newline, but may
     hold U+2028 and the other characters ``str.splitlines`` ends lines at.
+    Raises ValueError (``json.JSONDecodeError`` for a line that is not
+    JSON) for a line that is not an object with a ``str`` text and a list
+    of entities, and for an entity ``entity_from_dict`` refuses.
     """
     docs = []
     for line in text.split("\n"):
         if not line.strip():
             continue
         record = json.loads(line)
-        docs.append((record["text"],
-                     [entity_from_dict(d) for d in record["entities"]]))
+        if not (type(record) is dict and type(record.get("text")) is str
+                and type(record.get("entities")) is list):
+            raise ValueError(f"expected an object with a str text and a list of "
+                             f"entities: {line!r}")
+        try:
+            docs.append((record["text"], [entity_from_dict(d) for d in record["entities"]]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not an entity list: {record['entities']!r}") from exc
     return docs

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -38,6 +39,43 @@ ERROR_PREFIX = re.compile(r"^error:[a-z-]+: ")
 
 def feed_stdin(monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
+
+
+def run_cli(*argv, **kwargs):
+    """``python3 -m sindhi_ner.cli`` in a subprocess under a timeout, so
+    that a command waiting on a pipe cannot hang the suite; bytes out."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop(CONFIG_ENV_VAR, None)
+    return subprocess.run([sys.executable, "-m", "sindhi_ner.cli", *map(str, argv)],
+                          cwd=root, env=env, capture_output=True, timeout=120, **kwargs)
+
+
+@contextlib.contextmanager
+def named_pipe(directory, data: bytes):
+    """A named pipe in ``directory`` that a thread fills with ``data``
+    (under the pipe's 64 KiB buffer) once a reader opens it."""
+    fifo = Path(directory) / "input.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        # A command that never opened the pipe leaves the writer waiting
+        # in open; opening the read end without waiting releases it.
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join(timeout=30)
+        os.close(fd)
+        fifo.unlink()
 
 
 class TestTag:
@@ -224,6 +262,13 @@ class TestTag:
         assert main(["tag", str(tmp_path / "ghost.txt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:missing-data-file: ")
+
+    def test_directory_is_a_missing_data_file(self, tmp_path, capsys):
+        for argv in (["tag", str(tmp_path)], ["tag", "--config", str(tmp_path)],
+                     ["tag", "--gazetteer", str(tmp_path)], ["eval", "--gold", str(tmp_path)]):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.splitlines() == [
+                f"error:missing-data-file: required data file does not exist: {tmp_path}"]
 
     def test_bad_format_usage_error(self, monkeypatch, capsys):
         feed_stdin(monkeypatch, SENTENCE)
@@ -662,6 +707,35 @@ class TestGazetteer:
             f"error:unknown-category: {bad}:1: unknown category 'Nope'"]
         assert not target.exists()
 
+    def test_add_fails_on_a_missing_configured_file(self, tmp_path, capsys):
+        ghost = tmp_path / "ghost.tsv"
+        target = tmp_path / "extra.tsv"
+        assert main(["gazetteer", "add", "اويس", "Nope", "--gazetteer", str(ghost),
+                     "--file", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:missing-data-file: required data file does not exist: {ghost}"]
+        assert not target.exists()
+
+    def test_add_creates_a_configured_target(self, tmp_path, capsys):
+        target = tmp_path / "extra.tsv"
+        assert main(["gazetteer", "add", "نئون شهر", "Location",
+                     "--gazetteer", str(target), "--file", str(target)]) == 0
+        assert target.read_text("utf-8") == capsys.readouterr().out == "نئون شهر\tLocation\n"
+
+    def test_add_reports_a_bad_configured_file_before_a_bad_target(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("سنڌ\tNope\n", encoding="utf-8")
+        target = tmp_path / "extra.tsv"
+        target.write_bytes(b"ab\xff\tLocation\n")
+        assert main(["gazetteer", "add", "اويس", "Location", "--gazetteer", str(bad),
+                     "--file", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:unknown-category: {bad}:1: unknown category 'Nope'"]
+        assert main(["gazetteer", "add", "اويس", "Location", "--file", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:malformed-line: {target}:1: not valid UTF-8"]
+        assert target.read_bytes() == b"ab\xff\tLocation\n"
+
     def test_add_closes_target_file(self, tmp_path, capsys):
         # The scenario of test_add_refuses_duplicate_in_target leaves no
         # file handle for the collector to find.
@@ -883,12 +957,7 @@ class TestModuleEntryPoint:
     """``python3 -m sindhi_ner.cli`` runs the same commands as ``main``."""
 
     def run_module(self, *argv):
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        env.pop(CONFIG_ENV_VAR, None)
-        return subprocess.run(
-            [sys.executable, "-m", "sindhi_ner.cli", *argv],
-            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        return run_cli(*argv, text=True)
 
     def test_gazetteer_check(self):
         proc = self.run_module("gazetteer", "check")
@@ -899,6 +968,113 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "usage:" in proc.stderr
+
+
+class TestPipedInput:
+    """A named pipe, ``/dev/stdin`` or a ``/dev/fd`` path (what a shell's
+    process substitution passes) is read like a regular file."""
+
+    @pytest.mark.parametrize("fmt", ["inline", "jsonl"])
+    def test_tag_reads_a_named_pipe_like_a_file(self, tmp_path, fmt):
+        data = "\ufeff".encode("utf-8") + "\n".join(text for text, _ in GOLDEN).encode("utf-8")
+        src = tmp_path / "doc.txt"
+        src.write_bytes(data)
+        from_file = run_cli("tag", "--format", fmt, src)
+        assert from_file.returncode == 0, from_file.stderr
+        with named_pipe(tmp_path, data) as fifo:
+            from_pipe = run_cli("tag", "--format", fmt, fifo)
+        assert (from_pipe.returncode, from_pipe.stderr) == (0, b"")
+        assert from_pipe.stdout == from_file.stdout != b""
+
+    def test_tag_reads_dev_stdin_and_dev_fd_like_a_file(self, tmp_path):
+        src = tmp_path / "doc.txt"
+        src.write_text(SENTENCE, encoding="utf-8")
+        expected = (INLINE + "\n").encode("utf-8")
+        assert run_cli("tag", src).stdout == expected
+        proc = run_cli("tag", "/dev/stdin", input=SENTENCE.encode("utf-8"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, SENTENCE.encode("utf-8"))
+            os.close(write_end)
+            proc = run_cli("tag", f"/dev/fd/{read_end}", pass_fds=(read_end,))
+        finally:
+            os.close(read_end)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_eval_reads_gold_from_a_named_pipe(self, tmp_path, flags):
+        gold = DATA_DIR / "mini_gold.tsv"
+        from_file = run_cli("eval", "--gold", gold, *flags)
+        assert from_file.returncode == 0, from_file.stderr
+        with named_pipe(tmp_path, gold.read_bytes()) as fifo:
+            from_pipe = run_cli("eval", "--gold", fifo, *flags)
+        assert (from_pipe.returncode, from_pipe.stderr) == (0, b"")
+        assert from_pipe.stdout == from_file.stdout
+
+    def test_config_reads_a_named_pipe(self, tmp_path):
+        config = write_config(tmp_path)
+        from_file = run_cli("tag", "--config", config, input=SENTENCE.encode("utf-8"))
+        assert from_file.returncode == 0, from_file.stderr
+        # Relative paths in a config resolve against its directory, so the
+        # pipe goes beside the config file.
+        with named_pipe(tmp_path, config.read_bytes()) as fifo:
+            from_pipe = run_cli("tag", "--config", fifo, input=SENTENCE.encode("utf-8"))
+        assert (from_pipe.returncode, from_pipe.stderr) == (0, b"")
+        assert from_pipe.stdout == from_file.stdout
+
+    @pytest.mark.parametrize("command, data, message", [
+        ("tag", b"\xef\xbb\xbfab\n\xff",
+         "error:invalid-input: {}: not valid UTF-8 at byte offset 6"),
+        ("eval", "اويس\tPERSON\r\n".encode("utf-8") + b"ab\xff\tO\n",
+         "error:malformed-line: {}:2: not valid UTF-8"),
+    ], ids=["tag", "gold"])
+    def test_invalid_utf8_through_a_pipe_is_reported_as_for_a_file(
+            self, tmp_path, command, data, message):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(data)
+        argv = ["tag"] if command == "tag" else ["eval", "--gold"]
+        from_file = run_cli(*argv, src)
+        with named_pipe(tmp_path, data) as fifo:
+            from_pipe = run_cli(*argv, fifo)
+        for proc, path in ((from_file, src), (from_pipe, fifo)):
+            assert (proc.returncode, proc.stdout) == (1, b"")
+            assert proc.stderr.decode("utf-8").splitlines() == [message.format(path)]
+
+
+class TestClosedStreams:
+    def test_closed_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", None)
+        assert main(["tag"]) == 1
+        assert capsys.readouterr() == ("", "error:io: stdin is closed\n")
+
+    @pytest.mark.parametrize("command", ["tag", "add"])
+    def test_closed_stdout_fails_before_anything_is_written(
+            self, tmp_path, monkeypatch, capsys, command):
+        src = tmp_path / "doc.txt"
+        src.write_text(SENTENCE, encoding="utf-8")
+        written = tmp_path / "written"
+        argv = (["tag", "--store", str(written), str(src)] if command == "tag" else
+                ["gazetteer", "add", "نئون شهر", "Location", "--file", str(written)])
+        monkeypatch.setattr("sys.stdout", None)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error:io: stdout is closed\n"
+        assert not written.exists()
+
+    def test_closed_streams_in_a_subprocess(self, tmp_path):
+        src = tmp_path / "doc.txt"
+        src.write_text(SENTENCE, encoding="utf-8")
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env.pop(CONFIG_ENV_VAR, None)
+        # With fd 0 or 1 closed, the interpreter sets sys.stdin or sys.stdout to None.
+        code = ("import os, sys; os.close(int(sys.argv[1])); os.execv(sys.executable, "
+                "[sys.executable, '-m', 'sindhi_ner.cli', *sys.argv[2:]])")
+        for fd, argv, message in ((0, ["tag"], b"error:io: stdin is closed\n"),
+                                  (1, ["tag", str(src)], b"error:io: stdout is closed\n")):
+            proc = subprocess.run([sys.executable, "-c", code, str(fd), *argv], env=env,
+                                  capture_output=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (1, message)
 
 
 class TestErrorPrefixInvariant:

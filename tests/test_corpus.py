@@ -339,7 +339,7 @@ class TestStore:
         with pytest.raises(CorruptStore):
             CorpusStore(path)
 
-    @pytest.mark.parametrize("entities", [None, 3, True])
+    @pytest.mark.parametrize("entities", [None, 3, True, {}, "", "xy"])
     def test_corrupt_entities_that_are_no_list(self, tmp_path, entities):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"id": 1, "text": "x", "entities": entities}) + "\n",
@@ -376,6 +376,20 @@ class TestStore:
     def test_parse_jsonl_refuses_wrong_entity_types(self, engine, damage):
         with pytest.raises(ValueError):
             parse_jsonl(json.dumps(self.damaged(engine, damage)))
+
+    @pytest.mark.parametrize("line", [
+        '{"text": 5, "entities": []}',
+        '{"text": "a", "entities": {}}',
+        '{"text": "a", "entities": "xy"}',
+        '{"text": "a", "entities": [5]}',
+        '{"text": "a", "entities": [{}]}',
+        '{"entities": []}',
+        '["a", []]',
+        '"a"',
+    ])
+    def test_parse_jsonl_refuses_a_line_of_the_wrong_shape(self, line):
+        with pytest.raises(ValueError):
+            parse_jsonl(line)
 
     def test_close_is_idempotent(self, tmp_path, engine):
         st = CorpusStore(tmp_path / "corpus.jsonl")
@@ -781,6 +795,15 @@ class TestScoring:
     def test_length_mismatch(self):
         with pytest.raises(TokenizationMismatch):
             score_labels([["O", "O"]], [["O"]])
+
+    def test_document_count_mismatch(self):
+        # zip would drop the unpartnered document and its LOCATION miss.
+        for gold, predicted in (([["PERSON", "O"], ["LOCATION"]], [["PERSON", "O"]]),
+                                ([["O"]], [["O"], ["PERSON"]])):
+            with pytest.raises(TokenizationMismatch) as err:
+                score_labels(gold, predicted)
+            assert str(err.value) == (f"document counts differ: {len(gold)} gold vs "
+                                      f"{len(predicted)} predicted")
 
     def test_report_to_dict(self):
         report = score_labels([["PERSON", "O"]], [["PERSON", "O"]])

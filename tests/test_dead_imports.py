@@ -1,13 +1,17 @@
 """No module under src/sindhi_ner imports a name it never uses, or
 defines a module-level name, function or class, or a method of a
-module-level class, that nothing reads.
+module-level class, or sets an instance attribute, that nothing reads.
 
 The import check stands in for flake8's F401 with ``ast`` alone.
 ``__init__.py`` is left out of it: it imports names to re-export them.
 An import on a line marked ``# noqa: F401`` is exempt, as flake8 exempts
 it.  The dead-name check looks for reads in every Python file under
 ``src/``, ``tests/`` and ``bench/``, as a name, an attribute, an
-imported name or a string constant; dunder names are exempt.
+imported name or a string constant; dunder names are exempt.  The
+attribute check looks there for each attribute set on an instance under
+``src/`` (``self.X = ...``, ``_set(self, "X", ...)`` and the keywords of
+``self.__dict__.update(...)``), read as ``.X`` or named in a string
+constant.
 """
 
 import ast
@@ -140,3 +144,62 @@ def test_the_guard_finds_a_dead_name():
     read = read_names(tree) | read_names(other)
     assert [name for name, _ in defined_names(tree)
             if name not in read] == ["D", "E", "f", "n"]
+
+
+def _is_set_call(node):
+    """Whether ``node`` is ``_set(self, "X", ...)``, which sets ``X``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_set" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant))
+
+
+def assigned_attributes(tree):
+    """(name, line number) of each attribute a file sets on ``self``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr, node.lineno
+        elif _is_set_call(node):
+            yield node.args[1].value, node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "update" and isinstance(node.func.value, ast.Attribute)
+              and node.func.value.attr == "__dict__"):
+            yield from ((kw.arg, kw.value.lineno) for kw in node.keywords)
+
+
+def attribute_reads(tree):
+    """Every attribute a file reads as ``.X``, and every string constant
+    but the names ``_set`` calls set."""
+    setting = {id(node.args[1]) for node in ast.walk(tree) if _is_set_call(node)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in setting):
+            names.add(node.value)
+    return names
+
+
+def test_no_unread_instance_attribute():
+    read = set()
+    for path in READERS:
+        read |= attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [f"{path.name}:{lineno}: {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name, lineno in assigned_attributes(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in read]
+    assert unread == []
+
+
+def test_the_guard_finds_an_unread_attribute():
+    tree = ast.parse("class K:\n"
+                     "    def __init__(self, v):\n"
+                     "        self.a = v\n        self.b: int = v\n        self.c = v\n"
+                     "        _set(self, 'd', v)\n        _set(self, 'e', v)\n"
+                     "        self.__dict__.update(f=v, g=v)\n"
+                     "        other.h = v\n"
+                     "    def m(self): return self.a, self.e, getattr(self, 'f')\n")
+    read = attribute_reads(tree)
+    assert [name for name, _ in assigned_attributes(tree)
+            if name not in read] == ["b", "c", "d", "g"]

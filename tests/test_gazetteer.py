@@ -4,10 +4,13 @@ brute_force_lookup is the independent oracle for lookup_longest; the
 acceptance suite reuses it over 500 random gazetteers.
 """
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sindhi_ner.errors import DuplicateEntry, MalformedLine, UnknownCategory
+from sindhi_ner.errors import DuplicateEntry, MalformedLine, MissingDataFile, UnknownCategory
 from sindhi_ner.gazetteer import (
     Category,
     Gazetteer,
@@ -19,6 +22,7 @@ from sindhi_ner.gazetteer import (
     load_suffix_table,
     load_word_list,
     lookup_longest,
+    read_lines,
     validate_sources,
 )
 from sindhi_ner.text import EDGE_SPECIALS, PUNCTUATION, tokenize
@@ -255,3 +259,55 @@ class TestValidateSources:
     def test_missing_file_reported_not_raised(self, tmp_path):
         problems = validate_sources([tmp_path / "absent.tsv"], [])
         assert len(problems) == 1
+
+
+def text_mode_read_lines(path):
+    """The reader that read_lines replaced, kept verbatim as the reference:
+    it reads the file in text mode and opens it again to find a bad line."""
+    if not Path(path).is_file():
+        raise MissingDataFile(path)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return enumerate(fh.readlines(), 1)
+    except UnicodeDecodeError:
+        # Invalid bytes decode to lone surrogates, which valid UTF-8 never
+        # yields, so the first line that fails a strict encode is the bad one.
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise MalformedLine(path, lineno, "not valid UTF-8") from None
+        raise
+
+
+def _outcome(reader, path):
+    try:
+        return list(reader(path))
+    except MalformedLine as exc:
+        return ("malformed", exc.lineno, str(exc))
+
+
+# A byte-order mark, every line ending, tabs, comments, multi-byte
+# characters, and invalid bytes: stray, truncated, overlong and surrogate.
+READER_PIECES = [b"\xef\xbb\xbf", b"\n", b"\r", b"\r\n", b"\t", b"#", b" ", b"a",
+                 "سنڌ".encode("utf-8"), "€".encode("utf-8"), "😀".encode("utf-8"),
+                 b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xc0\xaf", b"\xed\xa0\x80"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(READER_PIECES), st.binary(max_size=2)),
+                max_size=16).map(b"".join))
+def test_read_lines_agrees_with_the_text_mode_reader(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.tsv"
+        path.write_bytes(data)
+        assert _outcome(read_lines, path) == _outcome(text_mode_read_lines, path)
+
+
+def test_read_lines_refuses_what_is_not_a_file(tmp_path):
+    for path in (tmp_path / "ghost.tsv", tmp_path, tmp_path / "ghost" / "x.tsv",
+                 tmp_path / "a\0b.tsv"):
+        with pytest.raises(MissingDataFile) as err:
+            read_lines(path)
+        assert str(err.value) == f"required data file does not exist: {path}"
