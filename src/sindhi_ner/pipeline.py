@@ -16,10 +16,11 @@ from __future__ import annotations
 import gc
 import json
 import re
+from collections import defaultdict
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
 from json.encoder import encode_basestring
-from operator import and_, attrgetter, eq, is_, itemgetter, mul, ne, or_, sub
+from operator import and_, attrgetter, eq, is_, itemgetter, ne, or_, sub
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -72,7 +73,7 @@ RENDER_FORMATS = ("inline", "tabular", "jsonl")
 # Each label's and rule's JSON string, encoded once.
 _LABEL_JSON = {label: encode_basestring(value) for label, value in LABEL_VALUE.items()}
 _RULE_JSON = {rule: encode_basestring(value) for rule, value in RULE_VALUE.items()}
-# One entity of a jsonl line, its keys in ``entity_to_dict`` order.
+# One entity of a jsonl line.  Its keys, in this order, are the jsonl format.
 _ENTITY_JSON = ('{"start_byte": %d, "end_byte": %d, "token_start": %d, "token_end": %d,'
                 ' "label": %s, "rule": %s, "surface": %s}')
 
@@ -182,7 +183,10 @@ def load_config(path) -> EngineConfig:
     absent key; an empty required key counts as missing, and an empty
     ``rule.*`` or ``priority.*`` value raises ConfigError."""
     path = Path(path)
-    base = path.parent
+    # A config that is not a regular file, such as a pipe, has no directory
+    # of its own: its paths resolve against the current one, as relative
+    # ``--gazetteer`` paths do.
+    base = path.parent if path.is_file() else Path()
     values: Dict[str, object] = {}
     rule_flags: Dict[RuleId, bool] = {}
     priorities: Dict[RuleId, int] = {}
@@ -461,28 +465,33 @@ def _collect(engine: Engine, stream: TokenStream,
              bits: Sequence[int]) -> List[Proposal]:
     """Run every enabled rule of ``_CASCADE`` over the stream, in order.
 
-    ``bits`` holds the gate bits of each token (``Engine._tokens``); the
-    positions with any bit are the candidates, and the OR of their bits
-    is the presence mask, which skips the rows that cannot fire.  Each
-    row's matcher is looked up on ``engine.rules`` when the row runs, so
-    a method wrapped after the engine was built is the one called.
+    ``bits`` holds the gate bits of each token (``Engine._tokens``).  One
+    pass groups the positions with any bit, the candidates, by their
+    bits; a row's starts are the groups whose bits hold its gate, so no
+    row rescans the document.  The OR of the group keys is the presence
+    mask, which skips the rows that cannot fire.  Each row's matcher is
+    looked up on ``engine.rules`` when the row runs, so a method wrapped
+    after the engine was built is the one called.
     """
     rules = engine.rules
     enabled = engine.enabled
-    candidates = list(compress(range(len(bits)), bits))
-    cbits = list(filter(None, bits))
-    present = reduce(or_, cbits, 0)
+    groups: Dict[int, List[int]] = defaultdict(list)   # candidates by gate bits, ascending
+    for i in compress(range(len(bits)), bits):
+        groups[bits[i]].append(i)
+    present = reduce(or_, groups, 0)
+    follow: List[int] = []   # the next token's bits, built for the first ``then`` row
     found: Dict[RuleId, List[Proposal]] = {}
     spans: Dict[RuleId, set] = {}   # the positions each rule in ``found`` covers
     for row in _CASCADE:
         if (not present & (row.gate | row.free) or not enabled[row.rule]
                 or (present & row.needs) != row.needs):
             continue
-        flags = map(and_, cbits, repeat(row.gate))
+        gated = [groups[key] for key in groups if key & row.gate]
+        starts = gated[0] if len(gated) == 1 else sorted(chain.from_iterable(gated))
         if row.then:
-            follow = map([*bits[1:], 0].__getitem__, candidates)   # the next bits
-            flags = map(mul, flags, map(and_, follow, repeat(row.then)))
-        starts = compress(candidates, flags)
+            follow = follow or [*bits[1:], 0]
+            starts = compress(starts, map(and_, map(follow.__getitem__, starts),
+                                          repeat(row.then)))
         claims = ()
         if row.blocked_by:
             claimed = set().union(*map(spans.get, row.blocked_by, repeat(())))
@@ -490,8 +499,8 @@ def _collect(engine: Engine, stream: TokenStream,
             if row.takes_claims:
                 claims = (repeat(claimed),)
         if row.free:
-            starts = sorted({*starts, *compress(
-                candidates, map(and_, cbits, repeat(row.free)))})
+            starts = sorted({*starts, *chain.from_iterable(
+                groups[key] for key in groups if key & row.free)})
         made = list(filter(None, map(getattr(rules, row.matcher),
                                      repeat(stream), starts, *claims)))
         made = list(chain.from_iterable(made)) if row.many else made
@@ -615,22 +624,8 @@ def _render_tabular(doc: TaggedDocument) -> str:
                      in zip(doc.tokens.surfaces, predicted_labels(doc)))
 
 
-def entity_to_dict(e: EntitySpan) -> dict:
-    # Unpacking the named tuple is cheaper than reading seven attributes.
-    token_start, token_end, start_byte, end_byte, label, rule, surface = e
-    return {
-        "start_byte": start_byte,
-        "end_byte": end_byte,
-        "token_start": token_start,
-        "token_end": token_end,
-        "label": LABEL_VALUE[label],
-        "rule": RULE_VALUE[rule],
-        "surface": surface,
-    }
-
-
 def entity_from_dict(d: Mapping) -> EntitySpan:
-    """The EntitySpan of an ``entity_to_dict`` mapping.
+    """The EntitySpan of a mapping with the keys of a jsonl entity.
 
     Raises ValueError for a label or rule that names no member, an offset
     that is not an ``int`` (a ``bool`` included) or a surface that is not
@@ -651,8 +646,10 @@ def entity_from_dict(d: Mapping) -> EntitySpan:
 
 
 def _render_jsonl(doc: TaggedDocument) -> str:
-    """``json.dumps({"text": doc.source, "entities": [entity_to_dict(e) for
-    e in doc.entities]}, ensure_ascii=False)``, without a dict per entity.
+    """``json.dumps({"text": doc.source, "entities": [...]},
+    ensure_ascii=False)``, without a dict per entity.  Each entity is an
+    object with the keys ``start_byte``, ``end_byte``, ``token_start``,
+    ``token_end``, ``label``, ``rule`` and ``surface``, in that order.
 
     Strings go through ``encode_basestring``, as in that encoder, and
     offsets through ``%d``, which writes an ``int`` as JSON does; the

@@ -41,14 +41,16 @@ def feed_stdin(monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
 
 
-def run_cli(*argv, **kwargs):
+def run_cli(*argv, cwd=None, **kwargs):
     """``python3 -m sindhi_ner.cli`` in a subprocess under a timeout, so
-    that a command waiting on a pipe cannot hang the suite; bytes out."""
+    that a command waiting on a pipe cannot hang the suite; bytes out.
+    It runs in ``cwd``, by default the repository root."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     env.pop(CONFIG_ENV_VAR, None)
     return subprocess.run([sys.executable, "-m", "sindhi_ner.cli", *map(str, argv)],
-                          cwd=root, env=env, capture_output=True, timeout=120, **kwargs)
+                          cwd=cwd or root, env=env, capture_output=True, timeout=120,
+                          **kwargs)
 
 
 @contextlib.contextmanager
@@ -1016,12 +1018,33 @@ class TestPipedInput:
         config = write_config(tmp_path)
         from_file = run_cli("tag", "--config", config, input=SENTENCE.encode("utf-8"))
         assert from_file.returncode == 0, from_file.stderr
-        # Relative paths in a config resolve against its directory, so the
-        # pipe goes beside the config file.
+        # The config's data paths are absolute.
         with named_pipe(tmp_path, config.read_bytes()) as fifo:
             from_pipe = run_cli("tag", "--config", fifo, input=SENTENCE.encode("utf-8"))
         assert (from_pipe.returncode, from_pipe.stderr) == (0, b"")
         assert from_pipe.stdout == from_file.stdout
+
+    def test_config_pipe_resolves_relative_paths_against_the_current_directory(
+            self, tmp_path):
+        # A pipe has no directory of its own: engine.conf's relative data
+        # paths resolve against the working directory, here the data's.
+        data = DEFAULT_CONFIG_PATH.read_bytes()
+        stdin = SENTENCE.encode("utf-8")
+        from_file = run_cli("tag", "--config", "engine.conf", cwd=DATA_DIR, input=stdin)
+        assert from_file.returncode == 0, from_file.stderr
+        with named_pipe(tmp_path, data) as fifo:
+            from_fifo = run_cli("tag", "--config", fifo, cwd=DATA_DIR, input=stdin)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            from_fd = run_cli("tag", "--config", f"/dev/fd/{read_end}", cwd=DATA_DIR,
+                              input=stdin, pass_fds=(read_end,))
+        finally:
+            os.close(read_end)
+        for proc in (from_fifo, from_fd):
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout == from_file.stdout != b""
 
     @pytest.mark.parametrize("command, data, message", [
         ("tag", b"\xef\xbb\xbfab\n\xff",

@@ -30,13 +30,12 @@ from sindhi_ner.errors import (
     TokenizationMismatch,
     UnknownLabel,
 )
-from sindhi_ner.pipeline import (
-    DATA_DIR, EntitySpan, TaggedDocument, entity_to_dict, parse_jsonl, render)
+from sindhi_ner.pipeline import DATA_DIR, EntitySpan, TaggedDocument, parse_jsonl, render
 from sindhi_ner.rules import RuleId, TagLabel
 from sindhi_ner.text import TokenStream
 
 from test_acceptance import GOLDEN
-from test_pipeline import GATED
+from test_pipeline import GATED, entity_to_dict
 
 
 SAMPLES = (

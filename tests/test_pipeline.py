@@ -7,6 +7,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,10 @@ from sindhi_ner.pipeline import (
     EntitySpan,
     RENDER_FORMATS,
     TaggedDocument,
+    _CASCADE,
     _collect,
     build_engine,
     entity_from_dict,
-    entity_to_dict,
     load_config,
     parse_jsonl,
     render,
@@ -37,11 +38,27 @@ from sindhi_ner.pipeline import (
     select_proposals,
 )
 from sindhi_ner.rules import (
-    DIRECT_LABELS, SPAN_CAPS, Proposal, RuleId, RuleSet, TagLabel, sort_key)
+    DIRECT_LABELS, LABEL_VALUE, RULE_VALUE, SPAN_CAPS, Proposal, RuleId, RuleSet, TagLabel,
+    sort_key)
 from sindhi_ner.text import (
     EDGE_SPECIALS, NUMBER, WORD, TokenStream, normalize_whitespace, tokenize)
 
 from test_acceptance import GOLDEN
+
+
+def entity_to_dict(e: EntitySpan) -> dict:
+    """The jsonl object of one entity, keys in the writer's order: the
+    reference the jsonl writer is checked against."""
+    token_start, token_end, start_byte, end_byte, label, rule, surface = e
+    return {
+        "start_byte": start_byte,
+        "end_byte": end_byte,
+        "token_start": token_start,
+        "token_end": token_end,
+        "label": LABEL_VALUE[label],
+        "rule": RULE_VALUE[rule],
+        "surface": surface,
+    }
 
 
 def write_config(tmp_path, extra_gazetteer=None, extra_lines=()):
@@ -767,6 +784,91 @@ def test_collect_matches_reference(engines, data):
     stream, bits = engine_tokens(engine, " ".join(words))
     assert sorted(_collect(engine, stream, bits), key=sort_key) == \
         sorted(collect_reference(engine, stream), key=sort_key)
+
+
+@contextmanager
+def recorded_matcher_calls():
+    """Wrap each cascade matcher on RuleSet, as the bench's hooks do, and
+    yield the list of ``(matcher, position)`` calls made meanwhile."""
+    calls = []
+    saved = {name: getattr(RuleSet, name) for name in {row.matcher for row in _CASCADE}}
+
+    def wrap(name, fn):
+        def wrapper(self, stream, start, *claims):
+            calls.append((name, start))
+            return fn(self, stream, start, *claims)
+        return wrapper
+
+    try:
+        for name, fn in saved.items():
+            setattr(RuleSet, name, wrap(name, fn))
+        yield calls
+    finally:
+        for name, fn in saved.items():
+            setattr(RuleSet, name, fn)
+
+
+def reference_matcher_calls(engine, stream, bits):
+    """The ``(matcher, position)`` calls of the cascade as the ``_Row``
+    docstring states it: each row, unless a bit of ``needs`` is missing
+    from the text or its rule is off, visits every position in order and
+    calls its matcher where the token carries ``free``, or carries
+    ``gate``, the next token (0 past the end) a bit of ``then``, and no
+    ``blocked_by`` proposal covers the position."""
+    present = 0
+    for b in bits:
+        present |= b
+    calls, spans = [], {}
+    for row in _CASCADE:
+        if not engine.enabled[row.rule] or (present & row.needs) != row.needs:
+            continue
+        claimed = set()
+        for rule in row.blocked_by:
+            claimed |= spans.get(rule, set())
+        matcher = getattr(engine.rules, row.matcher)
+        made = []
+        for i in range(len(bits)):
+            follow = bits[i + 1] if i + 1 < len(bits) else 0
+            if not (bits[i] & row.free or (
+                    bits[i] & row.gate and (not row.then or follow & row.then)
+                    and i not in claimed)):
+                continue
+            calls.append((row.matcher, i))
+            found = matcher(stream, i, claimed) if row.takes_claims else matcher(stream, i)
+            if found:
+                made += found if row.many else [found]
+        if made:
+            spans[row.rule] = {k for p in made for k in range(p.start, p.end)}
+    return calls
+
+
+def assert_calls_match_reference(engine, text):
+    # Equal call sequences keep every matcher's call and hit counts.
+    stream, bits = engine_tokens(engine, text)
+    expected = reference_matcher_calls(engine, stream, bits)
+    with recorded_matcher_calls() as calls:
+        _collect(engine, stream, bits)
+    assert calls == expected, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_collect_calls_each_matcher_where_the_reference_does(engines, data):
+    vocabulary = cascade_vocabulary(engines[0])
+    words = data.draw(st.lists(st.sampled_from(vocabulary), max_size=30))
+    assert_calls_match_reference(data.draw(st.sampled_from(engines)), " ".join(words))
+
+
+def test_collect_calls_on_fixed_cases(engines):
+    # The empty text, a text that ends in a letter name, and a listed
+    # short form (ڊي ڊي) that starts inside the initials (0, 4).
+    stream, bits = engine_tokens(engines[0], "ڊي ڊي آر مهر")
+    assert (0, 4, RuleId.R8_Initials) in {(p.start, p.end, p.rule)
+                                          for p in _collect(engines[0], stream, bits)}
+    assert bits[1] & pipeline._ABBREVIATION
+    for engine in engines:
+        for text in ["", "هو ويو جي", "ڊي ڊي آر مهر", *GATED]:
+            assert_calls_match_reference(engine, text)
 
 
 # Words that open no scan gate in any of the ``engines`` variants.
