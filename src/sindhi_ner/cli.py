@@ -31,6 +31,8 @@ from .errors import (
 )
 from .gazetteer import (
     Category,
+    _entries,
+    _iter_gazetteer,
     gazetteer_stats,
     is_skipped_line,
     load_gazetteer,
@@ -193,10 +195,9 @@ def _cmd_tag(args) -> int:
         sep = "\n\n" if args.format == "tabular" else "\n"
         sys.stdout.write(sep.join(rendered) + "\n")
     if args.store:
-        lines = rendered if args.format == "jsonl" else [render(doc, "jsonl") for doc in docs]
         with _open_store(args.store) as store:
-            for doc, line in zip(docs, lines):
-                print(store._append_jsonl(doc, line), file=sys.stderr)
+            for doc in docs:
+                print(store.append(doc), file=sys.stderr)
     return 0
 
 
@@ -262,16 +263,16 @@ def _gazetteer_add(args, config: EngineConfig) -> int:
     paths = list(config.gazetteers)
     if target.resolve() not in {p.resolve() for p in paths}:
         paths.append(target)
-    try:
-        lines = list(read_lines(target))
-    except MissingDataFile:
-        # The append creates the target; every other file must exist.
-        paths = [p for p in paths if p.resolve() != target.resolve()]
-        lines = []
-    except (NerError, OSError):
-        lines = []  # loading the target raises it again, after an earlier file's error
-    merged = load_gazetteer(paths, config.edge_specials)
-    seen = {(e.words, e.category): e.source for e in merged.entries()}
+    seen, lines = {}, []  # lines: the target's, read once, then loaded and counted
+    for path in paths:
+        try:
+            read = list(read_lines(path))
+        except MissingDataFile:
+            if path.resolve() != target.resolve():
+                raise
+            continue  # the append creates the target; every other file must exist
+        list(_entries(_iter_gazetteer(path, config.edge_specials, seen, read)))
+        lines = read if path.resolve() == target.resolve() else lines
     lineno = len(lines) + 1
     # The argument is read as the loaders read a line of the target.
     entry = parse_entry(target, lineno, args.surface, args.category,

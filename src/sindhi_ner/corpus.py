@@ -16,6 +16,7 @@ import json
 import threading
 import warnings
 from itertools import compress, repeat
+from json.encoder import encode_basestring
 from operator import contains, is_
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -39,8 +40,8 @@ from .pipeline import (
     EntitySpan,
     TaggedDocument,
     entity_from_dict,
+    jsonl_entities,
     predicted_labels,
-    render,
 )
 from .rules import LABEL_BY_VALUE, RULE_BY_VALUE, RuleId, TagLabel
 from .text import NO_ENTRIES
@@ -190,28 +191,26 @@ class CorpusStore:
         """Store one tagged document; returns its assigned id.
 
         The record is the document's jsonl line with ``"id"`` put first.
+        It is encoded whole before its first byte is written: an append that
+        fails to encode it (UnicodeEncodeError) writes and stores nothing.
         """
-        return self._append_jsonl(tagged, render(tagged, "jsonl"))
-
-    def _append_jsonl(self, tagged: TaggedDocument, jsonl: str) -> int:
-        """``append``, given ``render(tagged, "jsonl")``."""
-        entities = (_StoredEntities(tagged.entities) if tagged.entities
-                    else _NO_STORED_ENTITIES)
-        doc = StoredDocument(self._next_id, tagged.source, entities)
+        doc_id = self._next_id
+        # Three pieces, never joined: the head (a newline ending an unterminated
+        # last record, the id, the text), the entity list and the tail.
+        head = '%s{"id": %d, "text": %s, "entities": [' % (
+            "\n" if self._unterminated else "", doc_id, encode_basestring(tagged.source))
+        pieces = (head.encode("utf-8"), jsonl_entities(tagged.entities).encode("utf-8"), b"]}\n")
         if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh = open(self.path, "ab")
             if self._torn_at is not None:
                 self._fh.truncate(self._torn_at)
                 self._torn_at = None
-        # One format builds the record, so a long record is copied by the
-        # slice and the format only, not once more per piece added: a
-        # newline ending an unterminated last record, the id, a newline.
-        self._fh.write('%s{"id": %d, %s\n' % (
-            "\n" if self._unterminated else "", doc.doc_id, jsonl[1:]))
+        self._fh.writelines(pieces)
         self._fh.flush()
         self._unterminated = False
-        self._admit(doc)
-        return doc.doc_id
+        self._admit(StoredDocument(doc_id, tagged.source, (
+            _StoredEntities(tagged.entities) if tagged.entities else _NO_STORED_ENTITIES)))
+        return doc_id
 
     def get(self, doc_id: int) -> StoredDocument:
         return self._records[doc_id]

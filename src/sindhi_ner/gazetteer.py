@@ -185,16 +185,16 @@ def is_skipped_line(line: str) -> bool:
     return not line or line.startswith("#")
 
 
-def _iter_tsv(path, parse, malformed=None) -> Iterator:
+def _iter_tsv(path, parse, malformed=None, lines=None) -> Iterator:
     """``parse(lineno, first, second)`` for each data line of a TSV file,
-    or the NerError it raises.
+    or of its ``read_lines`` ``lines`` if given, or the NerError it raises.
 
     A line that is not two tab-separated fields gives ``malformed(lineno)``,
     by default a MalformedLine asking for SURFACE<TAB>CATEGORY.  Lines
     that is_skipped_line picks are skipped.  Opening or decoding the file
     raises what read_lines raises, before anything is yielded.
     """
-    for lineno, raw in read_lines(path):
+    for lineno, raw in read_lines(path) if lines is None else lines:
         line = raw.strip()
         if is_skipped_line(line):
             continue
@@ -265,11 +265,11 @@ def parse_entry(path, lineno: int, surface: str, cat_name: str, specials: str,
                           category=category, source=source)
 
 
-def _iter_gazetteer(path, specials: str, seen: Dict) -> Iterator:
-    """The entries of one gazetteer file, or the error of each bad line;
-    ``seen`` is parse_entry's, holding the entries of earlier files."""
+def _iter_gazetteer(path, specials: str, seen: Dict, lines=None) -> Iterator:
+    """The entries of one gazetteer file, or of its ``lines``, or the error of
+    each bad line; ``seen`` is parse_entry's, holding earlier files' entries."""
     return _iter_tsv(path, lambda lineno, surface, cat_name: parse_entry(
-        path, lineno, surface, cat_name, specials, seen))
+        path, lineno, surface, cat_name, specials, seen), lines=lines)
 
 
 def _iter_words(path, category: Optional[str], specials: str) -> Iterator:

@@ -586,7 +586,8 @@ def render(doc: TaggedDocument, fmt: str = "inline") -> str:
     if fmt == "tabular":
         return _render_tabular(doc)
     if fmt == "jsonl":
-        return _render_jsonl(doc)
+        return '{"text": %s, "entities": [%s]}' % (encode_basestring(doc.source),
+                                                    jsonl_entities(doc.entities))
     raise UnknownFormat(f"unknown render format {fmt!r}; expected one of "
                         + ", ".join(RENDER_FORMATS))
 
@@ -645,21 +646,20 @@ def entity_from_dict(d: Mapping) -> EntitySpan:
         token_start, token_end, start_byte, end_byte, label, rule, surface))
 
 
-def _render_jsonl(doc: TaggedDocument) -> str:
-    """``json.dumps({"text": doc.source, "entities": [...]},
-    ensure_ascii=False)``, without a dict per entity.  Each entity is an
-    object with the keys ``start_byte``, ``end_byte``, ``token_start``,
-    ``token_end``, ``label``, ``rule`` and ``surface``, in that order.
+def jsonl_entities(entities: Iterable[EntitySpan]) -> str:
+    """A jsonl line's entity list, between its brackets.  The line is
+    ``json.dumps({"text": doc.source, "entities": [...]}, ensure_ascii=False)``
+    with each entity an object with the keys ``start_byte``, ``end_byte``,
+    ``token_start``, ``token_end``, ``label``, ``rule`` and ``surface``, in that order.
 
     Strings go through ``encode_basestring``, as in that encoder, and
     offsets through ``%d``, which writes an ``int`` as JSON does; the
     tagger and ``entity_from_dict`` of this output make ``int`` offsets.
     """
-    return '{"text": %s, "entities": [%s]}' % (encode_basestring(doc.source), ", ".join([
+    return ", ".join([
         _ENTITY_JSON % (start_byte, end_byte, token_start, token_end, _LABEL_JSON[label],
                         _RULE_JSON[rule], encode_basestring(surface))
-        for token_start, token_end, start_byte, end_byte, label, rule, surface
-        in doc.entities]))
+        for token_start, token_end, start_byte, end_byte, label, rule, surface in entities])
 
 
 def parse_jsonl(text: str) -> List[Tuple[str, List[EntitySpan]]]:

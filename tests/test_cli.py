@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sindhi_ner
+import sindhi_ner.gazetteer as gazetteer_module
 from sindhi_ner.cli import CONFIG_ENV_VAR, main
 from sindhi_ner.corpus import CorpusStore, evaluate, load_gold
 from sindhi_ner.errors import MalformedLine, NerError
@@ -626,6 +627,24 @@ class TestGazetteer:
                      "--file", str(target)]) == 1
         assert capsys.readouterr().err.startswith(f"error:duplicate-entry: {target}:3: ")
         assert main(["gazetteer", "check", "--gazetteer", str(target)]) == 0
+
+    @pytest.mark.parametrize("configured", [False, True])
+    def test_add_reads_each_file_once(self, tmp_path, capsys, monkeypatch, configured):
+        # One read of the target both loads it and counts its lines, whether
+        # or not the config lists it.
+        target, other = tmp_path / "extra.tsv", tmp_path / "other.tsv"
+        target.write_text("نئون شهر\tLocation", encoding="utf-8")
+        other.write_text("مرڪزوال\tLocation\n", encoding="utf-8")
+        reads = []
+        real_read_bytes = gazetteer_module.read_bytes
+        monkeypatch.setattr(gazetteer_module, "read_bytes",
+                            lambda path: reads.append(Path(path)) or real_read_bytes(path))
+        listed = [target, other] if configured else [other]
+        assert main(["gazetteer", "add", "ڪراچي", "Location", "--file", str(target),
+                     *(f"--gazetteer={path}" for path in listed)]) == 0
+        assert sorted(p for p in reads if p.parent == tmp_path) == [target, other]
+        assert target.read_text("utf-8") == "نئون شهر\tLocation\nڪراچي\tLocation\n"
+        assert capsys.readouterr().out == "ڪراچي\tLocation\n"
 
     def test_add_and_check_normalize_with_configured_edge_specials(self, tmp_path, capsys):
         # With "." no edge special, the token U.N. has the norm "u.n.".

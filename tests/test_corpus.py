@@ -1,5 +1,7 @@
 """Store round-trips, gold-corpus loading, and token-level scoring."""
 
+import contextlib
+import io
 import itertools
 import json
 import sys
@@ -7,10 +9,13 @@ import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sindhi_ner import cli
 from sindhi_ner.corpus import (
     CorpusStore,
     EvalReport,
@@ -147,6 +152,61 @@ def test_jsonl_writer_matches_json_dumps(source, entities):
         assert (reopened.text, reopened.entities) == (source, entities)
 
 
+def reference_records(docs):
+    """The store file of ``docs`` appended to a new store, built from the
+    jsonl line by the formula the store writer once used."""
+    return "".join('{"id": %d, ' % doc_id + render(doc, "jsonl")[1:] + "\n"
+                   for doc_id, doc in enumerate(docs, 1)).encode("utf-8")
+
+
+def hand_doc(source, entities):
+    """A document holding ``entities`` as given, with one token so that
+    ``tag`` does not skip it."""
+    return TaggedDocument(tokens=TokenStream(source, ("x",), (0,), (1,), ("x",), ("word",)),
+                          entities=tuple(entities))
+
+
+# Text a UTF-8 file can hold: the JSON_HARD characters bar the surrogates.
+utf8_text = st.text(st.one_of(
+    st.sampled_from([c for c in JSON_HARD if not "\ud800" <= c <= "\udfff"]),
+    st.characters(blacklist_categories=("Cs",))), max_size=12)
+utf8_spans = st.builds(EntitySpan, offsets, offsets, offsets, offsets,
+                       st.sampled_from(TagLabel), st.sampled_from(RuleId), utf8_text)
+hand_docs = st.builds(hand_doc, utf8_text, st.one_of(
+    st.just([]), st.lists(utf8_spans, min_size=1, max_size=1),
+    st.lists(utf8_spans, min_size=2, max_size=20)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(hand_docs, min_size=1, max_size=4))
+def test_append_and_tag_store_write_the_reference_records(docs):
+    # The file append writes, and the file tag --store writes, are the
+    # documents' jsonl lines with the id put first, and read back to the
+    # documents.  tag --store gets each document from an engine that hands
+    # back the one its input file names.
+    expected = reference_records(docs)
+    engine = SimpleNamespace(tag_text=lambda text: docs[int(text)])
+    with tempfile.TemporaryDirectory() as tmp:
+        appended, tagged = Path(tmp) / "append.jsonl", Path(tmp) / "tag.jsonl"
+        with CorpusStore(appended) as corpus:
+            assert [corpus.append(doc) for doc in docs] == list(range(1, len(docs) + 1))
+        names = []
+        for n in range(len(docs)):
+            names.append(Path(tmp) / f"doc{n}.txt")
+            names[-1].write_text(str(n))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "build_engine", lambda config: engine), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["tag", "--format", "jsonl", "--store", str(tagged),
+                             *map(str, names)]) == 0
+        assert out.getvalue() == "".join(render(doc, "jsonl") + "\n" for doc in docs)
+        assert err.getvalue() == "".join(f"{n}\n" for n in range(1, len(docs) + 1))
+        assert appended.read_bytes() == tagged.read_bytes() == expected
+        with CorpusStore(tagged) as reopened:
+            assert [(d.text, d.entities) for d in reopened.documents()] == [
+                (doc.source, list(doc.entities)) for doc in docs]
+
+
 @pytest.fixture()
 def store(tmp_path):
     with CorpusStore(tmp_path / "corpus.jsonl") as st:
@@ -199,15 +259,51 @@ class TestStore:
             store.append(engine.tag_text(text))
         assert [d.doc_id for d in store.documents()] == [1, 2, 3, 4, 5]
 
-    def test_append_of_a_rendered_line_writes_what_append_writes(self, tmp_path, engine):
-        docs = [engine.tag_text(text) for text in SAMPLES + ("ويو",)]
-        paths = tmp_path / "append.jsonl", tmp_path / "rendered.jsonl"
-        with CorpusStore(paths[0]) as plain, CorpusStore(paths[1]) as given_line:
-            for doc in docs:
-                assert plain.append(doc) == given_line._append_jsonl(doc, render(doc, "jsonl"))
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        with CorpusStore(paths[1]) as reopened:
-            assert [d.text for d in reopened.documents()] == [d.source for d in docs]
+    @pytest.mark.parametrize("where", ["source", "surface"])
+    def test_a_failed_append_writes_and_adds_nothing(self, tmp_path, engine, where):
+        # A lone surrogate cannot be encoded: the append raises before its
+        # first byte is written, and the next append takes the id it would
+        # have taken.
+        path = tmp_path / "corpus.jsonl"
+        good = [engine.tag_text(text) for text in SAMPLES[:2]]
+        entity = EntitySpan(0, 1, 0, 2, TagLabel.PERSON, RuleId.R3_GazetteerName,
+                            "x\ud800" if where == "surface" else "x")
+        bad = hand_doc("ok \udc00" if where == "source" else "ok", [entity])
+        with CorpusStore(path) as st:
+            assert st.append(good[0]) == 1
+            before = path.read_bytes(), st.query(), list(st.documents())
+            with pytest.raises(UnicodeEncodeError):
+                st.append(bad)
+            assert (path.read_bytes(), st.query(), list(st.documents())) == before
+            assert len(st) == 1 and len(st._entities) == len(good[0].entities)
+            assert st.append(good[1]) == 2
+        assert path.read_bytes() == reference_records(good)
+        with CorpusStore(path) as st:
+            assert [d.text for d in st.documents()] == [doc.source for doc in good]
+
+    @pytest.mark.parametrize("tail", [b"", b'{"id": 2, "te'])
+    def test_a_failed_append_leaves_an_unended_last_line_to_the_next(
+            self, tmp_path, engine, tail):
+        # Neither the newline an unterminated last record needs nor the cut
+        # of a torn one is written by an append that fails; the next
+        # append writes them.
+        path = tmp_path / "corpus.jsonl"
+        good = [engine.tag_text(text) for text in SAMPLES[:2]]
+        with CorpusStore(path) as st:
+            st.append(good[0])
+        path.write_bytes(path.read_bytes().rstrip(b"\n") + (b"\n" + tail if tail else b""))
+        damaged = path.read_bytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            st = CorpusStore(path)
+        with st:
+            with pytest.raises(UnicodeEncodeError):
+                st.append(hand_doc("\ud800", []))
+            assert path.read_bytes() == damaged
+            assert st.append(good[1]) == 2
+        assert path.read_bytes() == reference_records(good)
+        with CorpusStore(path) as st:
+            assert [d.text for d in st.documents()] == [doc.source for doc in good]
 
     def test_lines_match_json_dumps(self, tmp_path, engine):
         # The render line and the store line of each golden sentence, gold
