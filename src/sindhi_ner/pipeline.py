@@ -20,7 +20,7 @@ from collections import defaultdict
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
 from json.encoder import encode_basestring
-from operator import and_, attrgetter, eq, is_, itemgetter, ne, or_, sub
+from operator import attrgetter, eq, is_, itemgetter, ne, or_, sub
 from pathlib import Path
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -399,7 +399,8 @@ def tag_text(engine: Engine, raw: str) -> TaggedDocument:
         gc.disable()
     try:
         stream, bits = engine._tokens(normalize_whitespace(raw))
-        return TaggedDocument(stream, resolve_conflicts(_collect(engine, stream, bits), stream))
+        return tuple.__new__(TaggedDocument, (
+            stream, resolve_conflicts(_collect(engine, stream, bits), stream)))
     finally:
         if paused:
             gc.enable()
@@ -468,18 +469,25 @@ def _collect(engine: Engine, stream: TokenStream,
     ``bits`` holds the gate bits of each token (``Engine._tokens``).  One
     pass groups the positions with any bit, the candidates, by their
     bits; a row's starts are the groups whose bits hold its gate, so no
-    row rescans the document.  The OR of the group keys is the presence
-    mask, which skips the rows that cannot fire.  Each row's matcher is
-    looked up on ``engine.rules`` when the row runs, so a method wrapped
-    after the engine was built is the one called.
+    row rescans the document, and a document with no candidate skips the
+    cascade.  The OR of the group keys is the presence mask, which skips
+    the rows that cannot fire.  A row pays for its ``then``, ``blocked_by``
+    and ``free`` steps only where they can change its starts: ``then``
+    reads the next token of each gated start, only the rules that made
+    proposals are claimed, ``free`` starts join only when the text has
+    some, and a row left with no start calls no matcher.  Each row's
+    matcher is looked up on ``engine.rules`` when the row runs, so a
+    method wrapped after the engine was built is the one called.
     """
     rules = engine.rules
     enabled = engine.enabled
     groups: Dict[int, List[int]] = defaultdict(list)   # candidates by gate bits, ascending
     for i in compress(range(len(bits)), bits):
         groups[bits[i]].append(i)
+    if not groups:
+        return []
     present = reduce(or_, groups, 0)
-    follow: List[int] = []   # the next token's bits, built for the first ``then`` row
+    last = len(bits) - 1
     found: Dict[RuleId, List[Proposal]] = {}
     spans: Dict[RuleId, set] = {}   # the positions each rule in ``found`` covers
     for row in _CASCADE:
@@ -489,18 +497,16 @@ def _collect(engine: Engine, stream: TokenStream,
         gated = [groups[key] for key in groups if key & row.gate]
         starts = gated[0] if len(gated) == 1 else sorted(chain.from_iterable(gated))
         if row.then:
-            follow = follow or [*bits[1:], 0]
-            starts = compress(starts, map(and_, map(follow.__getitem__, starts),
-                                          repeat(row.then)))
-        claims = ()
-        if row.blocked_by:
-            claimed = set().union(*map(spans.get, row.blocked_by, repeat(())))
-            starts = filterfalse(claimed.__contains__, starts)
-            if row.takes_claims:
-                claims = (repeat(claimed),)
-        if row.free:
+            starts = [i for i in starts if i < last and bits[i + 1] & row.then]
+        claimed = set().union(*[spans[rule] for rule in spans if rule in row.blocked_by])
+        if claimed:
+            starts = list(filterfalse(claimed.__contains__, starts))
+        if present & row.free:
             starts = sorted({*starts, *chain.from_iterable(
                 groups[key] for key in groups if key & row.free)})
+        if not starts:
+            continue
+        claims = (repeat(claimed),) if row.takes_claims else ()
         made = list(filter(None, map(getattr(rules, row.matcher),
                                      repeat(stream), starts, *claims)))
         made = list(chain.from_iterable(made)) if row.many else made
@@ -552,7 +558,7 @@ def _strongest_first(cluster: List[Proposal]) -> List[Proposal]:
 def resolve_conflicts(proposals: Iterable[Proposal],
                       stream: TokenStream) -> Tuple[EntitySpan, ...]:
     """Select winning proposals and materialize them against the stream."""
-    taken = select_proposals(proposals)
+    taken = select_proposals(proposals) if proposals else ()
     if not taken:
         return ()
     token_starts = list(map(_START, taken))

@@ -968,6 +968,89 @@ def test_collect_matches_reference_on_gold(engines):
                 sorted(collect_reference(engine, stream), key=sort_key)
 
 
+# Texts on which a row of ``_collect`` skips a step, each with the
+# matcher that shows it and whether the default engine calls that matcher.
+SKIPS = [
+    # Every letter name fails ``then`` (R8, R9); the last one ends the text.
+    ("جي گهر مهر جي", "match_initials", False),
+    ("جي گهر مهر جي", "match_abbreviation", False),
+    # Blockers that made nothing (R2, R6).
+    ("خيرپور", "match_suffix", True),
+    ("شفقت جي ڪتاب", "resolve_postposition", True),
+    # Blockers that claimed every start: the initials (R9) and a title's
+    # person (R6).
+    ("جي اي مهر", "match_abbreviation", False),
+    ("ڊاڪٽر شفقت جي", "resolve_postposition", False),
+    # A free start with no gated start, and free starts that are also
+    # gated starts (R9).
+    ("ڪم وغيره", "match_abbreviation", True),
+    ("ڊي ڊي آر", "match_abbreviation", True),
+]
+
+
+class _RecordedCascade:
+    """``_CASCADE`` that records each time a loop starts over it."""
+
+    def __init__(self, rows):
+        self.rows, self.loops = rows, 0
+
+    def __iter__(self):
+        self.loops += 1
+        return iter(self.rows)
+
+
+def test_collect_skips_on_fixed_cases(engines, monkeypatch):
+    default = engines[0]
+    for text, matcher, called in SKIPS:
+        row = next(row for row in _CASCADE if row.matcher == matcher)
+        stream, bits = engine_tokens(default, text)
+        assert any(b & (row.gate | row.free) for b in bits), text
+        with recorded_matcher_calls() as calls:
+            _collect(default, stream, bits)
+        assert (matcher in {name for name, _ in calls}) == called, (text, matcher)
+    # A gated start beside free starts, and free starts with no gated start.
+    assert engine_tokens(default, "ڊي ڊي آر")[1][0] & pipeline._LETTER
+    assert not any(b & pipeline._LETTER for b in engine_tokens(default, "ڪم وغيره")[1])
+    # A document with no candidate position skips the cascade.
+    cascade = _RecordedCascade(_CASCADE)
+    monkeypatch.setattr(pipeline, "_CASCADE", cascade)
+    for engine in engines:
+        assert not any(engine_tokens(engine, " ".join(FILLER))[1])
+        assert assert_collect_matches_reference(engine, " ".join(FILLER)) == []
+        assert_calls_match_reference(engine, " ".join(FILLER))
+    assert cascade.loops == 0
+    texts = sorted({text for text, _, _ in SKIPS})
+    for engine in engines:
+        for text in texts:
+            assert_calls_match_reference(engine, text)
+            assert_collect_matches_reference(engine, text)
+    assert cascade.loops == 2 * len(engines) * len(texts)
+
+
+def test_each_tag_text_call_enters_the_traced_layers_once(engine, monkeypatch):
+    # The traced bench wraps ``pipeline.normalize_whitespace`` and
+    # ``pipeline.resolve_conflicts`` and reports their time per MB: each
+    # tag_text call enters each exactly once, whether the text has tokens,
+    # candidate positions or proposals or not.
+    entered = []
+    for name in ("normalize_whitespace", "resolve_conflicts"):
+        def wrapper(*args, name=name, fn=getattr(pipeline, name)):
+            entered.append(name)
+            return fn(*args)
+        monkeypatch.setattr(pipeline, name, wrapper)
+    # No token, no candidate position, a candidate but no proposal, and
+    # proposals.
+    texts = ["", " \t ", " ".join(FILLER), "جي گهر", "ڊاڪٽر شفقت جي"]
+    tokens = [engine._tokens(normalize_whitespace(text)) for text in texts]
+    assert [any(bits) for _, bits in tokens] == [False, False, False, True, True]
+    assert [bool(_collect(engine, *pair)) for pair in tokens] == \
+        [False, False, False, False, True]
+    for text in texts:
+        entered.clear()
+        engine.tag_text(text)
+        assert entered == ["normalize_whitespace", "resolve_conflicts"], text
+
+
 # The rules whose proposals block rule 6.
 R1_TO_R5 = {RuleId.R1_DateTime, RuleId.R2_Suffix, RuleId.R3_GazetteerName,
             RuleId.R4_SurnameTrigger, RuleId.R5_TitleDesignation}
