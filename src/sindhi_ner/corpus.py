@@ -49,7 +49,7 @@ from .text import NO_ENTRIES
 _DOCSTART = "-DOCSTART-"
 
 # One decoder for every store line: ``raw_decode`` plus an end check on the
-# stripped line accepts exactly the lines ``json.loads`` accepts.
+# line less JSON's whitespace accepts exactly the lines ``json.loads`` accepts.
 _RAW_DECODE = json.JSONDecoder().raw_decode
 
 
@@ -102,9 +102,9 @@ class CorpusStore:
     A last line without its newline that is not valid UTF-8 or not JSON is
     a torn write: it is dropped with a warning, and the first append cuts
     the file back to the end of the last whole record.  Any other damaged
-    line raises CorruptStore.  The file is opened for writing on the
-    first append, so a store that is only read never writes; writes are
-    flushed per record.  ``get`` and ``documents`` return the stored
+    line raises CorruptStore, with the rule it broke.  The file is opened
+    for writing on the first append, so a store that is only read never
+    writes; writes are flushed per record.  ``get`` and ``documents`` return the stored
     records, named tuples, in the order they were stored.  A record's
     ``entities`` is a list that refuses every change (TypeError), so no
     caller can change what a later ``get``, ``documents`` or ``query``
@@ -142,8 +142,9 @@ class CorpusStore:
         with open(self.path, "rb") as fh:
             for raw in fh:
                 try:
-                    line = raw.decode("utf-8").strip()
-                    if line:
+                    line = raw.decode("utf-8")
+                    if not line.isspace():
+                        line = line.strip(" \t\n\r")
                         record, end = _RAW_DECODE(line)
                         if end != len(line):
                             raise ValueError("data after the record")
@@ -161,14 +162,17 @@ class CorpusStore:
                 except (ValueError, KeyError, TypeError) as exc:
                     if raw.endswith(b"\n") or not isinstance(
                             exc, (UnicodeDecodeError, json.JSONDecodeError)):
-                        raise CorruptStore(self.path, offset) from exc
+                        reason = (f"missing key {exc}" if isinstance(exc, KeyError)
+                                  else "a record and its entities must be objects"
+                                  if isinstance(exc, TypeError) else str(exc))
+                        raise CorruptStore(self.path, offset, reason) from exc
                     # Only the last line can lack its newline: a torn write.
                     warnings.warn(f"{self.path}: dropped a torn final record at "
                                   f"byte offset {offset}", TornRecordWarning,
                                   stacklevel=3)
                     self._torn_at = offset
                     return
-                if line:
+                if not line.isspace():
                     self._admit(StoredDocument(doc_id, text, entities))
                 offset += len(raw)
         self._unterminated = bool(raw) and not raw.endswith(b"\n")
@@ -392,18 +396,19 @@ def score_labels(gold: Sequence[Sequence[str]],
                  predicted: Sequence[Sequence[str]]) -> EvalReport:
     """Token-level scores for aligned gold and predicted label sequences.
 
-    Raises TokenizationMismatch when the two hold different numbers of
-    documents or a pair of sequences differs in length.
+    Any string but ``"O"`` counts as a label.  Raises TokenizationMismatch
+    when the two hold different numbers of documents, or naming the first
+    document (from 1) whose two sequences differ in length.
     """
     if len(gold) != len(predicted):
         raise TokenizationMismatch(
             f"document counts differ: {len(gold)} gold vs {len(predicted)} predicted")
     total = correct = 0
     counts: Dict[str, List[int]] = {}  # per label: [tp, fp, fn]
-    for gold_seq, pred_seq in zip(gold, predicted):
+    for idx, (gold_seq, pred_seq) in enumerate(zip(gold, predicted), 1):
         if len(gold_seq) != len(pred_seq):
             raise TokenizationMismatch(
-                f"sequence lengths differ: {len(gold_seq)} gold vs "
+                f"document {idx}: {len(gold_seq)} gold labels vs "
                 f"{len(pred_seq)} predicted")
         for g, p in zip(gold_seq, pred_seq):
             total += 1
@@ -417,11 +422,12 @@ def score_labels(gold: Sequence[Sequence[str]],
 
 
 def evaluate(engine: Engine, gold: GoldCorpus) -> EvalReport:
-    """Re-tag every gold document and score token labels.
+    """Re-tag every gold document and score it with ``score_labels``.
 
-    Gold tokens are joined with single spaces and run through the engine;
-    if the engine's tokenizer disagrees about the token count the corpus
-    and engine cannot be compared and TokenizationMismatch is raised.
+    Gold tokens are joined with single spaces and run through the engine.
+    Raises EmptyCorpus for no documents, LabelMismatch for a gold label
+    that is no tag label, and TokenizationMismatch when the engine's
+    tokenizer disagrees about a document's token count.
     """
     if not gold.documents:
         raise EmptyCorpus("gold corpus has no documents")
@@ -430,14 +436,6 @@ def evaluate(engine: Engine, gold: GoldCorpus) -> EvalReport:
             if label != "O" and label not in LABEL_BY_VALUE:
                 raise LabelMismatch(
                     f"document {idx + 1}: label {label!r} is not a tag label")
-    gold_seqs = []
-    pred_seqs = []
-    for idx, doc in enumerate(gold.documents):
-        tagged = engine.tag_text(" ".join(doc.tokens))
-        if len(tagged.tokens) != len(doc.tokens):
-            raise TokenizationMismatch(
-                f"document {idx + 1}: gold has {len(doc.tokens)} tokens but "
-                f"the tokenizer produced {len(tagged.tokens)}")
-        gold_seqs.append(doc.labels)
-        pred_seqs.append(predicted_labels(tagged))
-    return score_labels(gold_seqs, pred_seqs)
+    return score_labels([doc.labels for doc in gold.documents],
+                        [predicted_labels(engine.tag_text(" ".join(doc.tokens)))
+                         for doc in gold.documents])

@@ -241,7 +241,7 @@ def _parse_flag(path, lineno, value: str) -> bool:
 
 
 class Engine:
-    """Immutable tagging engine: config, gazetteer, rules, synonym map.
+    """Observably immutable tagging engine: config, gazetteer, rules, synonym map.
 
     A private memo maps each whitespace chunk the engine has tagged to
     its token rows (``chunk_rows``, with gate bits).  It is filled while
@@ -276,11 +276,6 @@ class Engine:
             for norm in norms:
                 self._gates[norm] = self._gates.get(norm, 0) | bit
         self._split = token_pattern(config.edge_specials).split
-        # A newline-joined text of norms holds one of these exactly when
-        # one of its norms is a person marker or ends in a suffix.
-        self._suffix_probes = tuple(
-            [f"{suffix}\n" for suffix in rules.suffix_endings]
-            + [f"\n{marker}\n" for marker in rules.person_markers])
         self._memo: Dict[str, Tuple[tuple, ...]] = {}
 
     def tag_text(self, raw: str) -> TaggedDocument:
@@ -329,19 +324,18 @@ class Engine:
         if NUMBER in kinds:
             for i in compress(positions, map(eq, kinds, repeat(NUMBER))):
                 bits[i] |= _NUMERAL
-        # No norm holds a newline, so a search of the norms joined by
-        # newlines tells whether any norm can carry a bit below; in most
-        # texts none can.
+        # No norm holds a newline, so one search of the norms joined by
+        # newlines tells whether any norm can be a URL or an email address;
+        # in most texts none can.
         joined = "\n%s\n" % "\n".join(norms)
         if "://" in joined or "@" in joined or "\nwww." in joined:
             for i in compress(positions, map(_SHAPED.search, norms)):
                 bits[i] |= _SHAPE
-        if any(map(joined.__contains__, self._suffix_probes)):
-            markers, endings = self.rules.person_markers, self.rules.suffix_endings
-            for i in compress(positions, map(or_, map(markers.__contains__, norms),
-                                             map(str.endswith, norms, repeat(endings)))):
-                if kinds[i] == WORD:
-                    bits[i] |= _SUFFIX
+        markers, endings = self.rules.person_markers, self.rules.suffix_endings
+        for i in compress(positions, map(or_, map(markers.__contains__, norms),
+                                         map(str.endswith, norms, repeat(endings)))):
+            if kinds[i] == WORD:
+                bits[i] |= _SUFFIX
         return list(zip(surfaces, sizes, norms, kinds, bits))
 
 
@@ -488,8 +482,8 @@ def _collect(engine: Engine, stream: TokenStream,
         return []
     present = reduce(or_, groups, 0)
     last = len(bits) - 1
-    found: Dict[RuleId, List[Proposal]] = {}
-    spans: Dict[RuleId, set] = {}   # the positions each rule in ``found`` covers
+    found: List[Proposal] = []
+    spans: Dict[RuleId, set] = {}   # the positions each proposing rule covers
     for row in _CASCADE:
         if (not present & (row.gate | row.free) or not enabled[row.rule]
                 or (present & row.needs) != row.needs):
@@ -511,10 +505,10 @@ def _collect(engine: Engine, stream: TokenStream,
                                      repeat(stream), starts, *claims)))
         made = list(chain.from_iterable(made)) if row.many else made
         if made:
-            found[row.rule] = made
+            found += made
             spans[row.rule] = set(chain.from_iterable(
                 map(range, map(_START, made), map(_END, made))))
-    return list(chain.from_iterable(found.values()))
+    return found
 
 
 def select_proposals(proposals: Iterable[Proposal]) -> List[Proposal]:
@@ -558,9 +552,9 @@ def _strongest_first(cluster: List[Proposal]) -> List[Proposal]:
 def resolve_conflicts(proposals: Iterable[Proposal],
                       stream: TokenStream) -> Tuple[EntitySpan, ...]:
     """Select winning proposals and materialize them against the stream."""
-    taken = select_proposals(proposals) if proposals else ()
-    if not taken:
+    if not proposals:
         return ()
+    taken = select_proposals(proposals)
     token_starts = list(map(_START, taken))
     token_ends = list(map(_END, taken))
     start_bytes = list(map(stream.starts.__getitem__, token_starts))

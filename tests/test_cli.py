@@ -453,6 +453,15 @@ class TestQuery:
         assert first.startswith("error:corrupt-store: ")
         assert "byte offset 0" in first
 
+    def test_corrupt_store_names_the_broken_rule(self, store_path, capsys):
+        size = store_path.stat().st_size
+        with open(store_path, "ab") as fh:
+            fh.write(store_path.read_bytes().splitlines(keepends=True)[1])  # id 2 again
+        assert main(["query", "--store", str(store_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error:corrupt-store: {store_path}: record ids must be increasing ints "
+            f"at byte offset {size}"]
+
     def test_store_required(self, capsys):
         assert main(["query"]) == 2
 

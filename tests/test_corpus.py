@@ -434,6 +434,25 @@ class TestStore:
         with pytest.raises(CorruptStore):
             CorpusStore(path)
 
+    @pytest.mark.parametrize("line, reason", [
+        ('{"id": 1, "text": "x"}', "missing key 'entities'"),
+        ('{"id": 1, "text": "x", "entities": [{}]}', "missing key 'label'"),
+        ('"x"', "a record and its entities must be objects"),
+        ('[1, "x", []]', "a record and its entities must be objects"),
+        ('{"id": 1, "text": "x", "entities": [5]}', "a record and its entities must be objects"),
+        ('{"id": 1, "text": "x", "entities": {}}', "a record's entities must be a list"),
+        ('{"id": 0, "text": "x", "entities": []}', "record ids must be increasing ints"),
+        ('{"id": 1, "text": 5, "entities": []}', "a record's text must be a str"),
+        ('{"id": 1, "text": "x", "entities": []} 1', "data after the record"),
+        ('{"id": 1 "text": "x"}', "Expecting ',' delimiter: line 1 column 10 (char 9)"),
+    ])
+    def test_corrupt_store_names_the_broken_rule(self, tmp_path, line, reason):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(line + "\n", "utf-8")
+        with pytest.raises(CorruptStore) as err:
+            CorpusStore(path)
+        assert str(err.value) == f"{path}: {reason} at byte offset 0"
+
     @pytest.mark.parametrize("entities", [None, 3, True, {}, "", "xy"])
     def test_corrupt_entities_that_are_no_list(self, tmp_path, entities):
         path = tmp_path / "corpus.jsonl"
@@ -642,6 +661,54 @@ class TestStore:
         with pytest.raises(CorruptStore) as err:
             CorpusStore(path)
         assert err.value.byte_offset == len(first)
+
+
+# What may stand around a record on its line: JSON's whitespace less the
+# newline that ends the line, other Unicode spaces (``str.strip`` removes
+# them, ``json.loads`` refuses them), a BOM, and trailing data.
+_LINE_PADDING = st.lists(st.sampled_from(
+    (" ", "\t", "\r", "\xa0", "\u2028", "\u3000", "\x1c", "\x0b", "\x85", "\ufeff",
+     "x", "0", "{}")), max_size=3).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LINE_PADDING, _LINE_PADDING)
+@example("\xa0", "")
+@example("\u2028", "")
+@example("\u3000", "")
+@example("\x1c", "")
+@example(" \t\r", "\r\t ")
+def test_store_reads_a_record_line_as_json_loads_does(engine, prefix, suffix):
+    record = {"id": 1, **json.loads(render(engine.tag_text(SAMPLES[0]), "jsonl"))}
+    line = prefix + json.dumps(record, ensure_ascii=False) + suffix
+    try:
+        json.loads(line)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(line.encode("utf-8") + b"\n")
+        if accepted:
+            with CorpusStore(path) as store:
+                assert [d.text for d in store.documents()] == [SAMPLES[0]]
+        else:
+            with pytest.raises(CorruptStore) as err:
+                CorpusStore(path)
+            assert err.value.byte_offset == 0
+
+
+def test_lines_that_str_strip_empties_are_skipped(tmp_path, engine):
+    path = tmp_path / "corpus.jsonl"
+    with CorpusStore(path) as st:
+        st.append(engine.tag_text(SAMPLES[0]))
+    record = path.read_bytes()
+    blanks = "\n \t\r\n\xa0\u2028\u3000\x1c\n".encode("utf-8")
+    path.write_bytes(blanks + record + blanks)
+    with CorpusStore(path) as st:
+        assert [d.text for d in st.documents()] == [SAMPLES[0]]
+        assert st.append(engine.tag_text(SAMPLES[1])) == 2
 
 
 def tear(path, cut):

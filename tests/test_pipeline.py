@@ -757,6 +757,32 @@ def engines(engine, tmp_path_factory):
     return variants
 
 
+# Batches of surfaces new to the engine, classified together: a person
+# marker, a word ending in a listed suffix, both, neither, and each beside
+# a URL or an email address; with whether a norm in them ends in a suffix
+# or is a marker on the default engine.
+CLASSIFY_BATCHES = (
+    ("حسن", True),
+    ("شڪارپور", True),
+    ("حسن شڪارپور", True),
+    ("ڪتاب پڙهيو", False),
+    ("حسن www.sindhila.org", True),
+    ("شڪارپور info@sindh.pk", True),
+    ("حسن شڪارپور http://nlp.cs.nyu.edu", True),
+    ("ڪتاب info@sindh.pk", False),
+)
+
+
+def test_classify_batches_match_reference_bits(engines):
+    for engine in engines:
+        for text, suffixed in CLASSIFY_BATCHES:
+            fresh = Engine(engine.config, engine.rules, engine.synonyms)
+            _, bits = engine_tokens(fresh, text)
+            assert len(fresh._memo) == len(text.split())
+            if engine is engines[0]:
+                assert any(b & pipeline._SUFFIX for b in bits) is suffixed, text
+
+
 # Letter-name shapes that the R8/R9 next-token gates admit or reject: a
 # run of letters before a surname, a bare run, one letter before a
 # surname, and a letter that ends the text.
