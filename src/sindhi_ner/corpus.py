@@ -12,10 +12,10 @@ token.
 
 from __future__ import annotations
 
-import json
 import threading
 import warnings
 from itertools import compress, repeat
+from json import JSONDecodeError
 from json.encoder import encode_basestring
 from operator import contains, is_
 from pathlib import Path
@@ -39,19 +39,14 @@ from .pipeline import (
     Engine,
     EntitySpan,
     TaggedDocument,
-    entity_from_dict,
     jsonl_entities,
     predicted_labels,
+    read_record,
 )
 from .rules import LABEL_BY_VALUE, RULE_BY_VALUE, RuleId, TagLabel
 from .text import NO_ENTRIES
 
 _DOCSTART = "-DOCSTART-"
-
-# One decoder for every store line: ``raw_decode`` plus an end check on the
-# line less JSON's whitespace accepts exactly the lines ``json.loads`` accepts.
-_RAW_DECODE = json.JSONDecoder().raw_decode
-
 
 Location = Tuple[int, int, int]  # (record id, token_start, token_end)
 
@@ -101,11 +96,13 @@ class CorpusStore:
 
     A last line without its newline that is not valid UTF-8 or not JSON is
     a torn write: it is dropped with a warning, and the first append cuts
-    the file back to the end of the last whole record.  Any other damaged
-    line raises CorruptStore, with the rule it broke.  The file is opened
-    for writing on the first append, so a store that is only read never
-    writes; writes are flushed per record.  ``get`` and ``documents`` return the stored
-    records, named tuples, in the order they were stored.  A record's
+    the file back to the end of the last whole record.  Any other line
+    that ``read_record`` refuses, or whose id is not above the last one,
+    raises CorruptStore with the rule it broke; whitespace lines are
+    skipped.  The file is opened for writing on the first append, so a
+    store that is only read never writes; writes are flushed per record.
+    ``get`` and ``documents`` return the stored records, named tuples, in
+    the order they were stored.  A record's
     ``entities`` is a list that refuses every change (TypeError), so no
     caller can change what a later ``get``, ``documents`` or ``query``
     returns; ``list(record.entities)`` is a copy that can be changed.
@@ -144,27 +141,15 @@ class CorpusStore:
                 try:
                     line = raw.decode("utf-8")
                     if not line.isspace():
-                        line = line.strip(" \t\n\r")
-                        record, end = _RAW_DECODE(line)
-                        if end != len(line):
-                            raise ValueError("data after the record")
+                        record, text, entities = read_record(line)
                         doc_id = record["id"]
-                        text = record["text"]
-                        entities = record["entities"]
-                        if type(entities) is not list:
-                            raise ValueError("a record's entities must be a list")
-                        entities = (_StoredEntities(map(entity_from_dict, entities))
-                                    if entities else _NO_STORED_ENTITIES)
                         if type(doc_id) is not int or doc_id < self._next_id:
                             raise ValueError("record ids must be increasing ints")
-                        if type(text) is not str:
-                            raise ValueError("a record's text must be a str")
-                except (ValueError, KeyError, TypeError) as exc:
+                        self._admit(doc_id, text, entities)
+                except (ValueError, KeyError) as exc:
                     if raw.endswith(b"\n") or not isinstance(
-                            exc, (UnicodeDecodeError, json.JSONDecodeError)):
-                        reason = (f"missing key {exc}" if isinstance(exc, KeyError)
-                                  else "a record and its entities must be objects"
-                                  if isinstance(exc, TypeError) else str(exc))
+                            exc, (UnicodeDecodeError, JSONDecodeError)):
+                        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
                         raise CorruptStore(self.path, offset, reason) from exc
                     # Only the last line can lack its newline: a torn write.
                     warnings.warn(f"{self.path}: dropped a torn final record at "
@@ -172,24 +157,24 @@ class CorpusStore:
                                   stacklevel=3)
                     self._torn_at = offset
                     return
-                if not line.isspace():
-                    self._admit(StoredDocument(doc_id, text, entities))
                 offset += len(raw)
         self._unterminated = bool(raw) and not raw.endswith(b"\n")
 
-    def _admit(self, doc: StoredDocument):
-        """Add a record to memory; the only writer of the entity table."""
-        self._records[doc.doc_id] = doc
-        self._next_id = doc.doc_id + 1
-        if doc.entities:
+    def _admit(self, doc_id: int, text: str, entities: Sequence[EntitySpan]):
+        """Add a record to memory; the only builder of a StoredDocument
+        and the only writer of the entity table."""
+        entities = _StoredEntities(entities) if entities else _NO_STORED_ENTITIES
+        self._records[doc_id] = StoredDocument(doc_id, text, entities)
+        self._next_id = doc_id + 1
+        if entities:
             label_rows, rule_rows = self._label_rows, self._rule_rows
             # Stable, and one linear pass over the tagger's ordered output.
-            entities = sorted(doc.entities, key=SPAN_TOKEN_START)
+            entities = sorted(entities, key=SPAN_TOKEN_START)
             for row, entity in enumerate(entities, len(self._entities)):
                 label_rows[entity.label].append(row)
                 rule_rows[entity.rule].append(row)
             self._entities.extend(entities)
-            self._entity_ids.extend(repeat(doc.doc_id, len(entities)))
+            self._entity_ids.extend(repeat(doc_id, len(entities)))
 
     def append(self, tagged: TaggedDocument) -> int:
         """Store one tagged document; returns its assigned id.
@@ -212,8 +197,7 @@ class CorpusStore:
         self._fh.writelines(pieces)
         self._fh.flush()
         self._unterminated = False
-        self._admit(StoredDocument(doc_id, tagged.source, (
-            _StoredEntities(tagged.entities) if tagged.entities else _NO_STORED_ENTITIES)))
+        self._admit(doc_id, tagged.source, tagged.entities)
         return doc_id
 
     def get(self, doc_id: int) -> StoredDocument:
@@ -301,10 +285,6 @@ class GoldDocument(NamedTuple):
 
 class GoldCorpus(NamedTuple):
     documents: Tuple[GoldDocument, ...]
-
-    @property
-    def token_count(self) -> int:
-        return sum(len(d.tokens) for d in self.documents)
 
 
 def load_gold(path) -> GoldCorpus:

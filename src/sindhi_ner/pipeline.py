@@ -14,11 +14,11 @@ overlap an already accepted span.
 from __future__ import annotations
 
 import gc
-import json
 import re
 from collections import defaultdict
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
+from json import JSONDecoder
 from json.encoder import encode_basestring
 from operator import attrgetter, eq, is_, itemgetter, ne, or_, sub
 from pathlib import Path
@@ -76,6 +76,10 @@ _RULE_JSON = {rule: encode_basestring(value) for rule, value in RULE_VALUE.items
 # One entity of a jsonl line.  Its keys, in this order, are the jsonl format.
 _ENTITY_JSON = ('{"start_byte": %d, "end_byte": %d, "token_start": %d, "token_end": %d,'
                 ' "label": %s, "rule": %s, "surface": %s}')
+
+# The jsonl line reader's decoder, and the whitespace JSON allows around a value.
+_RAW_DECODE = JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
 
 _START = attrgetter("start")
 _END = attrgetter("end")
@@ -662,26 +666,37 @@ def jsonl_entities(entities: Iterable[EntitySpan]) -> str:
         for token_start, token_end, start_byte, end_byte, label, rule, surface in entities])
 
 
+def read_record(line: str) -> Tuple[dict, str, List[EntitySpan]]:
+    """The object, text and entities of one jsonl line, decoded as
+    ``json.loads`` decodes it, so a ``json.JSONDecodeError`` counts its
+    column in the line as given.  Raises that error, ``entity_from_dict``'s
+    ValueError, or a ValueError naming the rule the line broke: ``missing
+    key 'K'``, ``a record and its entities must be objects``, ``a record's
+    entities must be a list``, ``a record's text must be a str`` or ``data
+    after the record``."""
+    record, end = _RAW_DECODE(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+    if line[end:].strip(_JSON_SPACE):
+        raise ValueError("data after the record")
+    try:
+        text, entities = record["text"], record["entities"]
+        if type(entities) is not list:
+            raise ValueError("a record's entities must be a list")
+        if type(text) is not str:
+            raise ValueError("a record's text must be a str")
+        return record, text, list(map(entity_from_dict, entities)) if entities else entities
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError("a record and its entities must be objects") from exc
+
+
 def parse_jsonl(text: str) -> List[Tuple[str, List[EntitySpan]]]:
     """Parse jsonl output back into (text, entities) pairs.
 
     Lines end at ``"\\n"`` only: a JSON line holds no raw newline, but may
     hold U+2028 and the other characters ``str.splitlines`` ends lines at.
-    Raises ValueError (``json.JSONDecodeError`` for a line that is not
-    JSON) for a line that is not an object with a ``str`` text and a list
-    of entities, and for an entity ``entity_from_dict`` refuses.
+    A line that ``str.strip`` empties is skipped; every other line is read
+    by ``read_record``, whose ValueError (``json.JSONDecodeError`` for a
+    line that is not JSON) names the rule the line broke.
     """
-    docs = []
-    for line in text.split("\n"):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if not (type(record) is dict and type(record.get("text")) is str
-                and type(record.get("entities")) is list):
-            raise ValueError(f"expected an object with a str text and a list of "
-                             f"entities: {line!r}")
-        try:
-            docs.append((record["text"], [entity_from_dict(d) for d in record["entities"]]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"not an entity list: {record['entities']!r}") from exc
-    return docs
+    return [read_record(line)[1:] for line in text.split("\n") if line.strip()]

@@ -434,7 +434,8 @@ class TestStore:
         with pytest.raises(CorruptStore):
             CorpusStore(path)
 
-    @pytest.mark.parametrize("line, reason", [
+    # A damaged store line and the rule the store names for it.
+    BROKEN_RULES = [
         ('{"id": 1, "text": "x"}', "missing key 'entities'"),
         ('{"id": 1, "text": "x", "entities": [{}]}', "missing key 'label'"),
         ('"x"', "a record and its entities must be objects"),
@@ -445,13 +446,34 @@ class TestStore:
         ('{"id": 1, "text": 5, "entities": []}', "a record's text must be a str"),
         ('{"id": 1, "text": "x", "entities": []} 1', "data after the record"),
         ('{"id": 1 "text": "x"}', "Expecting ',' delimiter: line 1 column 10 (char 9)"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("line, reason", BROKEN_RULES)
     def test_corrupt_store_names_the_broken_rule(self, tmp_path, line, reason):
         path = tmp_path / "corpus.jsonl"
         path.write_text(line + "\n", "utf-8")
         with pytest.raises(CorruptStore) as err:
             CorpusStore(path)
         assert str(err.value) == f"{path}: {reason} at byte offset 0"
+
+    # Every rule but the id rule, which only the store keeps.
+    @pytest.mark.parametrize("line, reason", [
+        (line, reason) for line, reason in BROKEN_RULES
+        if reason != "record ids must be increasing ints"])
+    def test_parse_jsonl_names_the_rule_the_store_names(self, line, reason):
+        with pytest.raises(ValueError) as err:
+            parse_jsonl(line)
+        assert str(err.value) == reason
+
+    def test_corrupt_store_places_a_json_error_in_the_line_as_stored(self, tmp_path):
+        line = '   {"id": 1 "text": "x"}'
+        with pytest.raises(json.JSONDecodeError) as loads_err:
+            json.loads(line)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(line + "\n", "utf-8")
+        with pytest.raises(CorruptStore) as err:
+            CorpusStore(path)
+        assert str(err.value) == f"{path}: {loads_err.value} at byte offset 0"
 
     @pytest.mark.parametrize("entities", [None, 3, True, {}, "", "xy"])
     def test_corrupt_entities_that_are_no_list(self, tmp_path, entities):
@@ -699,6 +721,32 @@ def test_store_reads_a_record_line_as_json_loads_does(engine, prefix, suffix):
             assert err.value.byte_offset == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(_LINE_PADDING, _LINE_PADDING)
+@example("", "")
+@example("   ", " \t\r")
+@example("\xa0", "")
+@example("", "{}")
+def test_parse_jsonl_reads_a_store_line_as_the_store_does(engine, prefix, suffix):
+    # A line the store opens gives the same text and entities through
+    # parse_jsonl; a line it refuses, the same reason.
+    record = {"id": 1, **json.loads(render(engine.tag_text(SAMPLES[2]), "jsonl"))}
+    line = prefix + json.dumps(record, ensure_ascii=False) + suffix
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_bytes(line.encode("utf-8") + b"\n")
+        try:
+            with CorpusStore(path) as store:
+                stored = [(d.text, list(d.entities)) for d in store.documents()]
+        except CorruptStore as exc:
+            with pytest.raises(ValueError) as err:
+                parse_jsonl(line)
+            assert str(exc) == f"{path}: {err.value} at byte offset 0"
+        else:
+            assert stored[0][1]
+            assert parse_jsonl(line) == stored
+
+
 def test_lines_that_str_strip_empties_are_skipped(tmp_path, engine):
     path = tmp_path / "corpus.jsonl"
     with CorpusStore(path) as st:
@@ -864,18 +912,18 @@ class TestLoadGold:
         assert len(corpus.documents) == 2
         assert corpus.documents[0] == GoldDocument(
             ("اويس", "ويو"), ("PERSON", "O"))
-        assert corpus.token_count == 3
+        assert sum(len(d.tokens) for d in corpus.documents) == 3
 
     def test_docstart_lines_skipped(self, tmp_path):
         path = write_gold(tmp_path,
                           "-DOCSTART-\nاويس\tPERSON\n\n-DOCSTART-\tO\nويو\tO\n")
         corpus = load_gold(path)
-        assert corpus.token_count == 2
+        assert sum(len(d.tokens) for d in corpus.documents) == 2
 
     def test_bom_tolerated(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_bytes("﻿اويس\tPERSON\n".encode("utf-8"))
-        assert load_gold(path).token_count == 1
+        assert sum(len(d.tokens) for d in load_gold(path).documents) == 1
 
     def test_multiple_blank_lines(self, tmp_path):
         path = write_gold(tmp_path, "اويس\tPERSON\n\n\n\nويو\tO\n\n\n")
@@ -909,8 +957,9 @@ class TestLoadGold:
         data_lines = [
             line for line in path.read_text("utf-8").splitlines()
             if line.strip() and not line.split("\t")[0].strip() == "-DOCSTART-"]
-        assert corpus.token_count == len(data_lines)
-        assert corpus.token_count >= 100
+        token_count = sum(len(d.tokens) for d in corpus.documents)
+        assert token_count == len(data_lines)
+        assert token_count >= 100
 
 
 class TestScoring:
