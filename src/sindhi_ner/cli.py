@@ -227,7 +227,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_query(args) -> int:
     path = Path(args.store)
-    if not path.is_file():
+    # As read_bytes: a pipe or /dev/stdin is read, a directory is missing.
+    if path.is_dir() or not path.exists():
         raise MissingDataFile(path)
     with _open_store(path) as store:
         rows = store.query(label=args.label, surface=args.surface, rule=args.rule)

@@ -20,8 +20,9 @@ from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
 from json import JSONDecoder
 from json.encoder import encode_basestring
-from operator import attrgetter, eq, is_, itemgetter, ne, or_, sub
+from operator import attrgetter, eq, is_, itemgetter, or_
 from pathlib import Path
+from types import MappingProxyType
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -83,8 +84,6 @@ _JSON_SPACE = " \t\n\r"
 
 _START = attrgetter("start")
 _END = attrgetter("end")
-_LABEL = attrgetter("label")
-_RULE = attrgetter("rule")
 
 # Scan-gate bits, one per rule that starts only at listed norms.
 (_DIRECT, _TITLE, _SURNAME, _NAME, _LETTER, _AMBIGUOUS, _NUMBER_WORD,
@@ -252,7 +251,10 @@ class Engine:
     tagging, never when the engine is built, and cleared once it holds
     more than ``_MEMO_CAP`` chunks.  Rows depend on the chunk alone: the
     memo changes no output, and threads may share an engine, since each
-    reads and writes it with single dict calls (``_tokens``).
+    reads and writes it with single dict calls (``_tokens``).  The plans,
+    filled the same way, map each presence mask ``_collect`` has met to
+    the rows that can fire under it (``_plan``), at most 4,096 masks;
+    ``enabled`` is read-only, so a plan never goes stale.
     """
 
     def __init__(self, config: EngineConfig, rules: RuleSet, synonyms: Mapping[str, str]):
@@ -260,8 +262,8 @@ class Engine:
         self.gaz = rules.gaz
         self.rules = rules
         self.synonyms = dict(synonyms)
-        self.enabled: Dict[RuleId, bool] = {
-            rule: bool(config.rule_flags.get(rule, True)) for rule in RuleId}
+        self.enabled: Mapping[RuleId, bool] = MappingProxyType({
+            rule: bool(config.rule_flags.get(rule, True)) for rule in RuleId})
         # Scan gates: a rule can start a match only at a norm that carries
         # its gate bit, so one pass over the norms finds every candidate.
         gate_sets = (
@@ -281,6 +283,7 @@ class Engine:
                 self._gates[norm] = self._gates.get(norm, 0) | bit
         self._split = token_pattern(config.edge_specials).split
         self._memo: Dict[str, Tuple[tuple, ...]] = {}
+        self._plans: Dict[int, Tuple[bool, ...]] = {}
 
     def tag_text(self, raw: str) -> TaggedDocument:
         return tag_text(self, raw)
@@ -411,10 +414,11 @@ class _Row(NamedTuple):
     ``then``, whose next token carries a bit of ``then``; starts claimed
     by a proposal of a ``blocked_by`` rule are skipped.  A position whose
     token carries the ``free`` bit is a start without either test.  The
-    row is skipped when no token carries ``gate`` or ``free``, or when the
-    text lacks a bit of ``needs``.  ``matcher`` names the RuleSet method called
-    at each start; with ``takes_claims`` it also receives the claimed
-    positions, and with ``many`` it returns a list of proposals.
+    row is skipped when its rule is off, when no token carries ``gate``
+    or ``free``, or when the text lacks a bit of ``needs`` (``_plan``).
+    ``matcher`` names the RuleSet method called at each start; with
+    ``takes_claims`` it also receives the claimed positions, and with
+    ``many`` it returns a list of proposals.
     """
 
     rule: RuleId
@@ -459,39 +463,50 @@ _CASCADE = (
          blocked_by=frozenset(RuleId) - {RuleId.R10_OrgKeyword}, takes_claims=True),
 )
 
+# Each row's (gate | free, needs, rule), read from ``_CASCADE`` once.
+_ROW_TESTS = tuple((row.gate | row.free, row.needs, row.rule) for row in _CASCADE)
+
+
+def _plan(enabled: Mapping[RuleId, bool], present: int) -> Tuple[bool, ...]:
+    """Whether each row of ``_CASCADE`` can fire on a text whose presence
+    mask is ``present``: its rule is enabled, and the mask holds a bit of
+    its ``gate`` or ``free`` and every bit of its ``needs``."""
+    return tuple(enabled[rule] and bool(present & reach) and present & needs == needs
+                 for reach, needs, rule in _ROW_TESTS)
+
 
 def _collect(engine: Engine, stream: TokenStream,
              bits: Sequence[int]) -> List[Proposal]:
-    """Run every enabled rule of ``_CASCADE`` over the stream, in order.
+    """Run every row of ``_CASCADE`` that can fire over the stream, in order.
 
     ``bits`` holds the gate bits of each token (``Engine._tokens``).  One
     pass groups the positions with any bit, the candidates, by their
     bits; a row's starts are the groups whose bits hold its gate, so no
     row rescans the document, and a document with no candidate skips the
-    cascade.  The OR of the group keys is the presence mask, which skips
-    the rows that cannot fire.  A row pays for its ``then``, ``blocked_by``
-    and ``free`` steps only where they can change its starts: ``then``
-    reads the next token of each gated start, only the rules that made
-    proposals are claimed, ``free`` starts join only when the text has
-    some, and a row left with no start calls no matcher.  Each row's
-    matcher is looked up on ``engine.rules`` when the row runs, so a
-    method wrapped after the engine was built is the one called.
+    cascade.  The OR of the group keys is the presence mask, and the
+    engine's plan for that mask, made on its first use (``_plan``), names
+    the rows that can fire: the others cost the document nothing.  A row
+    pays for its ``then``, ``blocked_by`` and ``free`` steps only where
+    they can change its starts: ``then`` reads the next token of each
+    gated start, only the rules that made proposals are claimed, ``free``
+    starts join only when the text has some, and a row left with no start
+    calls no matcher.  Each row's matcher is looked up on ``engine.rules``
+    when the row runs, so a method wrapped after the engine was built is
+    the one called.
     """
-    rules = engine.rules
-    enabled = engine.enabled
     groups: Dict[int, List[int]] = defaultdict(list)   # candidates by gate bits, ascending
     for i in compress(range(len(bits)), bits):
         groups[bits[i]].append(i)
     if not groups:
         return []
     present = reduce(or_, groups, 0)
+    plan = engine._plans.get(present)
+    if plan is None:
+        plan = engine._plans[present] = _plan(engine.enabled, present)
     last = len(bits) - 1
     found: List[Proposal] = []
     spans: Dict[RuleId, set] = {}   # the positions each proposing rule covers
-    for row in _CASCADE:
-        if (not present & (row.gate | row.free) or not enabled[row.rule]
-                or (present & row.needs) != row.needs):
-            continue
+    for row in compress(_CASCADE, plan):
         gated = [groups[key] for key in groups if key & row.gate]
         starts = gated[0] if len(gated) == 1 else sorted(chain.from_iterable(gated))
         if row.then:
@@ -505,7 +520,7 @@ def _collect(engine: Engine, stream: TokenStream,
         if not starts:
             continue
         claims = (repeat(claimed),) if row.takes_claims else ()
-        made = list(filter(None, map(getattr(rules, row.matcher),
+        made = list(filter(None, map(getattr(engine.rules, row.matcher),
                                      repeat(stream), starts, *claims)))
         made = list(chain.from_iterable(made)) if row.many else made
         if made:
@@ -555,28 +570,24 @@ def _strongest_first(cluster: List[Proposal]) -> List[Proposal]:
 
 def resolve_conflicts(proposals: Iterable[Proposal],
                       stream: TokenStream) -> Tuple[EntitySpan, ...]:
-    """Select winning proposals and materialize them against the stream."""
+    """Select winning proposals and build their entities in one loop.  A
+    one-token entity's surface is its token's own string; a longer one's
+    is decoded from the source's bytes, encoded once if at all."""
     if not proposals:
         return ()
-    taken = select_proposals(proposals)
-    token_starts = list(map(_START, taken))
-    token_ends = list(map(_END, taken))
-    start_bytes = list(map(stream.starts.__getitem__, token_starts))
-    end_bytes = list(map(stream.ends.__getitem__, map(sub, token_ends, repeat(1))))
-    # A one-token entity's surface is its token's own string; only the
-    # longer entities are decoded from the source's bytes.
-    surfaces = list(map(stream.surfaces.__getitem__, token_starts))
-    lengths = map(sub, token_ends, token_starts)
-    longer = list(compress(range(len(taken)), map(ne, lengths, repeat(1))))
-    if longer:
-        src = stream.source.encode("utf-8")
-        for n in longer:
-            surfaces[n] = src[start_bytes[n]:end_bytes[n]].decode()
-    fields = zip(token_starts, token_ends, start_bytes, end_bytes,
-                 map(_LABEL, taken), map(_RULE, taken), surfaces)
-    # tuple.__new__ builds each EntitySpan from its field tuple without a
-    # Python-level call per entity.
-    return tuple(map(tuple.__new__, repeat(EntitySpan), fields))
+    starts, ends, surfaces = stream.starts, stream.ends, stream.surfaces
+    src = b""
+    entities = []
+    for first, end, label, rule, _ in select_proposals(proposals):
+        start_byte, end_byte = starts[first], ends[end - 1]
+        if end - first == 1:
+            surface = surfaces[first]
+        else:
+            src = src or stream.source.encode("utf-8")
+            surface = src[start_byte:end_byte].decode()
+        entities.append(tuple.__new__(EntitySpan, (
+            first, end, start_byte, end_byte, label, rule, surface)))
+    return tuple(entities)
 
 
 # --------------------------------------------------------------------------

@@ -437,6 +437,14 @@ class TestQuery:
         assert main(["query", "--store", str(tmp_path / "ghost.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error:missing-data-file: ")
 
+    def test_a_directory_store_is_a_missing_data_file(self, tmp_path, capsys):
+        assert main(["query", "--store", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:missing-data-file: ")
+
+    def test_dev_null_is_an_empty_store(self):
+        proc = run_cli("query", "--store", "/dev/null")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+
     def test_store_with_a_string_offset_is_corrupt(self, tmp_path, engine, capsys):
         record = {"id": 1, **json.loads(render(engine.tag_text(SENTENCE), "jsonl"))}
         record["entities"][1]["token_start"] = "2"
@@ -1031,6 +1039,21 @@ class TestPipedInput:
         finally:
             os.close(read_end)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+    def test_query_reads_a_store_from_a_named_pipe_or_dev_stdin(self, tmp_path, engine):
+        store = tmp_path / "corpus.jsonl"
+        with CorpusStore(store) as opened:
+            opened.append(engine.tag_text(SENTENCE))
+            opened.append(engine.tag_text("هو خيرپور کان آيو"))
+        data = store.read_bytes()
+        from_file = run_cli("query", "--store", store)
+        assert (from_file.returncode, from_file.stderr) == (0, b"")
+        with named_pipe(tmp_path, data) as fifo:
+            from_pipe = run_cli("query", "--store", fifo)
+        from_stdin = run_cli("query", "--store", "/dev/stdin", input=data)
+        for proc in (from_pipe, from_stdin):
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout == from_file.stdout != b""
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_eval_reads_gold_from_a_named_pipe(self, tmp_path, flags):

@@ -8,6 +8,9 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import reduce
+from itertools import compress
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -592,6 +595,46 @@ def test_selection_matches_sorted_greedy(proposals):
     assert sorted(proposals, key=sort_key) == sorted(proposals, key=documented_key)
 
 
+# Words for resolve_conflicts' texts: edge punctuation glued on either
+# side, a ZWNJ inside a word, and characters of two, three and four
+# UTF-8 bytes beside ASCII.
+RESOLVE_WORDS = ["اويس", "(اويس)", "جمائي،", "۔ڪراچي", "اسلام\u200cآباد", "\u200c",
+                 "x", "KTN", "05.06.2016", "中文", "😀", "a😀b", "،", "(", "۔"]
+
+
+def resolve_reference(proposals, source):
+    """``greedy_reference``, then each entity from the ``Token`` spans of
+    ``tokenize`` and a byte slice of the encoded source."""
+    tokens, data = list(tokenize(source)), source.encode("utf-8")
+    entities = []
+    for p in greedy_reference(proposals):
+        start_byte, end_byte = tokens[p.start].span[0], tokens[p.end - 1].span[1]
+        entities.append(EntitySpan(p.start, p.end, start_byte, end_byte, p.label, p.rule,
+                                   data[start_byte:end_byte].decode("utf-8")))
+    return tuple(entities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_resolve_conflicts_matches_a_plain_reference(data):
+    words = data.draw(st.lists(st.sampled_from(RESOLVE_WORDS), min_size=1, max_size=12))
+    source = normalize_whitespace(" ".join(words))
+    stream = tokenize(source)
+    n = len(stream)
+    assume(n)
+    # Proposals clipped to the stream.
+    proposals = data.draw(st.lists(st.builds(
+        lambda start, length, label, rule, priority:
+            Proposal(start, min(start + length, n), label, rule, priority),
+        st.integers(0, n - 1), st.integers(1, 4), st.sampled_from(TagLabel),
+        st.sampled_from(RuleId), st.integers(-2, 12)), max_size=20))
+    got = resolve_conflicts(proposals, stream)
+    assert got == resolve_reference(proposals, source)
+    for e in got:
+        if e.token_end - e.token_start == 1:
+            assert e.surface is stream.surfaces[e.token_start]
+
+
 def collect_reference(engine, stream):
     """The cascade as one plain scan per rule over every position, with
     the coverage gates updated after each proposal."""
@@ -1051,6 +1094,47 @@ def test_collect_skips_on_fixed_cases(engines, monkeypatch):
             assert_calls_match_reference(engine, text)
             assert_collect_matches_reference(engine, text)
     assert cascade.loops == 2 * len(engines) * len(texts)
+
+
+def documented_rows(engine, present):
+    """The rows that run on a text whose presence mask is ``present``, as
+    the ``_Row`` docstring states it: not those whose rule is off, whose
+    ``gate`` and ``free`` bits are both absent, or a bit of whose
+    ``needs`` is absent."""
+    return [row for row in _CASCADE
+            if engine.enabled[row.rule] and present & (row.gate | row.free)
+            and present & row.needs == row.needs]
+
+
+def test_every_plan_names_the_documented_rows(engines):
+    for engine in engines:
+        for present in range(1 << 12):
+            plan = pipeline._plan(engine.enabled, present)
+            assert len(plan) == len(_CASCADE)
+            assert list(compress(_CASCADE, plan)) == documented_rows(engine, present), present
+
+
+def test_a_plan_made_for_one_text_leaves_the_next_texts_calls_alone(engines):
+    # R8 needs a surname: the texts alternate between holding one (مهر)
+    # and lacking one, with letter names in each, on engines whose plans
+    # start empty and are filled by tagging only.
+    texts = ["جي اي مهر", "جي اي بي", "اي بي مهر جي", "جي جي گهر", "ڊي ڊي آر مهر"]
+    for base in engines:
+        engine = Engine(base.config, base.rules, base.synonyms)
+        assert engine._plans == {}
+        masks = set()
+        for text in texts + texts[::-1]:
+            assert_calls_match_reference(engine, text)
+            masks.add(reduce(or_, engine._tokens(normalize_whitespace(text))[1], 0))
+        assert set(engine._plans) == masks
+        assert len({present & pipeline._SURNAME for present in masks}) == 2
+
+
+def test_enabled_is_read_only(engines):
+    for engine in engines:
+        with pytest.raises(TypeError):
+            engine.enabled[RuleId.R8_Initials] = False
+    assert engines[0].enabled[RuleId.R8_Initials]
 
 
 def test_each_tag_text_call_enters_the_traced_layers_once(engine, monkeypatch):
