@@ -60,7 +60,6 @@ from .text import (
     WORD,
     chunk_rows,
     normalize_whitespace,
-    stream_of,
     surface_forms,
     token_pattern,
     tokenize,  # noqa: F401 - unused here; bench/spans.py wraps pipeline.tokenize
@@ -82,6 +81,7 @@ _ENTITY_JSON = ('{"start_byte": %d, "end_byte": %d, "token_start": %d, "token_en
 _RAW_DECODE = JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
 
+_BITS = itemgetter(5)   # of a token row of ``Engine._classify``
 _START = attrgetter("start")
 _END = attrgetter("end")
 
@@ -293,10 +293,11 @@ class Engine:
         gate bits of each token.
 
         The stream equals ``tokenize(source, edge_specials)`` with the
-        synonym map applied to its norms.  Each chunk (``source.split()``,
-        so the empty text has none) costs one memo lookup; the token
-        pattern runs once over the distinct chunks the memo lacks, and
-        their surfaces are classified once, together.
+        synonym map applied to its norms; it holds the token rows and
+        builds its columns when one is first read.  Each chunk
+        (``source.split()``, so the empty text has none) costs one memo
+        lookup; the token pattern runs once over the distinct chunks the
+        memo lacks, and their surfaces are classified once, together.
         """
         memo = self._memo
         chunks = source.split()
@@ -311,8 +312,8 @@ class Engine:
             memo.update(learned)
             if len(memo) > _MEMO_CAP:
                 memo.clear()
-        stream, (bits,) = stream_of(source, rows)
-        return stream, bits
+        rows = list(chain.from_iterable(rows))
+        return TokenStream.from_rows(source, rows), list(map(_BITS, rows))
 
     def _classify(self, surfaces: Sequence[str]) -> List[tuple]:
         """The tuple ``(surface, size, norm, kind, bits)`` of each of
@@ -418,7 +419,9 @@ class _Row(NamedTuple):
     or ``free``, or when the text lacks a bit of ``needs`` (``_plan``).
     ``matcher`` names the RuleSet method called at each start; with
     ``takes_claims`` it also receives the claimed positions, and with
-    ``many`` it returns a list of proposals.
+    ``many`` it returns a list of proposals.  ``_collect`` tests
+    ``_LETTER_NEXT`` for all letter-name rows at once, so R8's ``then``
+    costs nothing more.
     """
 
     rule: RuleId
@@ -431,6 +434,10 @@ class _Row(NamedTuple):
     takes_claims: bool = False
     many: bool = False
 
+
+# A letter name starts a match only before a letter name or a surname:
+# every row gated on ``_LETTER`` asks at least this of its next token.
+_LETTER_NEXT = _LETTER | _SURNAME
 
 # The cascade in run order.  A rule sees only the claims of the rows
 # before it, so each ``blocked_by`` names earlier rows only.
@@ -448,7 +455,7 @@ _CASCADE = (
         RuleId.R5_TitleDesignation, RuleId.R4_SurnameTrigger))),
     _Row(RuleId.R3_GazetteerName, "match_gazetteer_name", _NAME),
     # Initials are a letter-name run followed by a surname.
-    _Row(RuleId.R8_Initials, "match_initials", _LETTER, then=_LETTER | _SURNAME,
+    _Row(RuleId.R8_Initials, "match_initials", _LETTER, then=_LETTER_NEXT,
          needs=_SURNAME),
     _Row(RuleId.R6_Postposition, "resolve_postposition", _AMBIGUOUS,
          blocked_by=frozenset((RuleId.R1_DateTime, RuleId.R2_Suffix,
@@ -483,33 +490,41 @@ def _collect(engine: Engine, stream: TokenStream,
     pass groups the positions with any bit, the candidates, by their
     bits; a row's starts are the groups whose bits hold its gate, so no
     row rescans the document, and a document with no candidate skips the
-    cascade.  The OR of the group keys is the presence mask, and the
-    engine's plan for that mask, made on its first use (``_plan``), names
-    the rows that can fire: the others cost the document nothing.  A row
-    pays for its ``then``, ``blocked_by`` and ``free`` steps only where
-    they can change its starts: ``then`` reads the next token of each
-    gated start, only the rules that made proposals are claimed, ``free``
-    starts join only when the text has some, and a row left with no start
-    calls no matcher.  Each row's matcher is looked up on ``engine.rules``
-    when the row runs, so a method wrapped after the engine was built is
-    the one called.
+    cascade.  The pass drops the ``_LETTER`` bit of a letter name whose
+    next token carries no bit of ``_LETTER_NEXT`` (the fold), so a lone
+    ``جي`` is no candidate.  The OR of the group keys is the presence
+    mask, and the engine's plan for that mask, made on its first use
+    (``_plan``), names the rows that can fire: the others cost the
+    document nothing.  A row pays for its ``then``, ``blocked_by`` and
+    ``free`` steps only where they can change its starts: ``then`` reads
+    the next token of each gated start unless the fold made its test,
+    only the rules that made proposals are claimed, ``free`` starts join
+    only when the text has some, and a row left with no start calls no
+    matcher.  Each row's matcher is looked up on ``engine.rules`` when
+    the row runs, so a method wrapped after the engine was built is the
+    one called.  Only the matchers read the stream's columns.
     """
+    last = len(bits) - 1
     groups: Dict[int, List[int]] = defaultdict(list)   # candidates by gate bits, ascending
     for i in compress(range(len(bits)), bits):
-        groups[bits[i]].append(i)
+        key = bits[i]
+        if key & _LETTER and (i == last or not bits[i + 1] & _LETTER_NEXT):
+            key ^= _LETTER
+            if not key:
+                continue
+        groups[key].append(i)
     if not groups:
         return []
     present = reduce(or_, groups, 0)
     plan = engine._plans.get(present)
     if plan is None:
         plan = engine._plans[present] = _plan(engine.enabled, present)
-    last = len(bits) - 1
     found: List[Proposal] = []
     spans: Dict[RuleId, set] = {}   # the positions each proposing rule covers
     for row in compress(_CASCADE, plan):
         gated = [groups[key] for key in groups if key & row.gate]
         starts = gated[0] if len(gated) == 1 else sorted(chain.from_iterable(gated))
-        if row.then:
+        if row.then and row.then != _LETTER_NEXT:
             starts = [i for i in starts if i < last and bits[i + 1] & row.then]
         claimed = set().union(*[spans[rule] for rule in spans if rule in row.blocked_by])
         if claimed:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, attrgetter, itemgetter, not_, or_, sub
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -84,6 +84,7 @@ NO_ENTRIES = _ReadOnlyEmpty()
 
 
 _STREAM_FIELDS = ("source", "surfaces", "starts", "ends", "norms", "kinds")
+_COLUMNS = _STREAM_FIELDS[1:]
 _stream_fields = attrgetter(*_STREAM_FIELDS)
 
 
@@ -94,44 +95,67 @@ class TokenStream:
     (``starts`` and ``ends`` split ``span``); the rules read the columns
     directly.  Indexing, slicing and iterating give Token views built on
     demand.  Streams compare and hash by their six fields.
+
+    A stream made by ``from_rows`` builds all five columns from its token
+    rows on the first read of any of them.  ``_rows`` holds one item per
+    token (the constructor's are the surfaces), which ``len`` counts.
     """
 
-    __slots__ = _STREAM_FIELDS
+    __slots__ = _STREAM_FIELDS + ("_rows",)
 
     def __init__(self, source: str, surfaces: Tuple[str, ...], starts: Tuple[int, ...],
                  ends: Tuple[int, ...], norms: Tuple[str, ...], kinds: Tuple[str, ...]):
         if not len(surfaces) == len(starts) == len(ends) == len(norms) == len(kinds):
             raise ValueError("token stream columns differ in length")
-        _set(self, "source", source)
-        _set(self, "surfaces", surfaces)
-        _set(self, "starts", starts)
-        _set(self, "ends", ends)
-        _set(self, "norms", norms)
-        _set(self, "kinds", kinds)
+        for field, value in zip(_STREAM_FIELDS, (source, surfaces, starts, ends, norms, kinds)):
+            _set(self, field, value)
+        _set(self, "_rows", surfaces)
+
+    @staticmethod
+    def from_rows(source: str, rows: Sequence[tuple]) -> "TokenStream":
+        """The stream of ``source`` from the token rows of its chunks in
+        order (``chunk_rows``), each ``(advance, surface, size, norm,
+        kind, *more)``; the further fields are not read.
+
+        >>> cut = token_pattern().split
+        >>> fields = lambda surfaces: list(zip(surfaces, *surface_forms(surfaces)))
+        >>> stream = TokenStream.from_rows("(ڪراچي)،", [
+        ...     *chain.from_iterable(chunk_rows(cut(" (ڪراچي)،"), fields))])
+        >>> [(t.surface, t.span) for t in stream]
+        [('(', (0, 1)), ('ڪراچي', (1, 11)), (')', (11, 12)), ('،', (12, 14))]
+        """
+        stream = _RowStream.__new__(_RowStream)
+        _set(stream, "source", source)
+        _set(stream, "_rows", rows)
+        return stream
 
     __setattr__ = __delattr__ = refuse_assignment
 
+    # Each method below reads the fields before the class, so a
+    # ``_RowStream`` has become a TokenStream by then.
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, TokenStream):
             return NotImplemented
-        return _stream_fields(self) == _stream_fields(other)
+        return _stream_fields(self) == _stream_fields(other) and other.__class__ is self.__class__
 
     def __hash__(self) -> int:
         return hash(_stream_fields(self))
 
     def __reduce__(self):
-        return type(self), _stream_fields(self)
+        fields = _stream_fields(self)
+        return type(self), fields
 
     def __repr__(self) -> str:
+        fields = _stream_fields(self)
         return "%s(%s)" % (type(self).__name__, ", ".join(
-            map("%s=%r".__mod__, zip(self.__slots__, _stream_fields(self)))))
+            map("%s=%r".__mod__, zip(_STREAM_FIELDS, fields))))
 
     @property
     def tokens(self) -> Tuple[Token, ...]:
         return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.surfaces)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Token]:
         # tuple.__new__ builds each Token from its field tuple without a
@@ -144,6 +168,32 @@ class TokenStream:
             return self.tokens[i]
         return Token(self.surfaces[i], (self.starts[i], self.ends[i]),
                      self.norms[i], self.kinds[i])
+
+
+class _RowStream(TokenStream):
+    """A stream from ``TokenStream.from_rows`` whose columns are unbuilt.
+
+    Reading one builds all five, then makes the stream a TokenStream, whose
+    column reads are plain slot reads: CPython 3.11 does not specialize
+    attribute reads on a class with ``__getattr__``.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot.  Threads that race here build
+        # equal columns.
+        if name not in _COLUMNS:
+            raise AttributeError(f"'TokenStream' object has no attribute {name!r}")
+        rows = self._rows
+        advances, surfaces, sizes, norms, kinds = islice(zip(*rows), 5) if rows else [()] * 5
+        # The text's first chunk has no space before it.
+        ends = tuple(accumulate(advances, initial=-1))[1:]
+        for field, column in zip(_COLUMNS, (
+                surfaces, tuple(map(sub, ends, sizes)), ends, norms, kinds)):
+            _set(self, field, column)
+        _set(self, "__class__", TokenStream)
+        return getattr(self, name)
 
 
 def normalize_whitespace(raw: str) -> str:
@@ -231,24 +281,6 @@ def chunk_rows(parts: Sequence[str], fields) -> List[Tuple[tuple, ...]]:
     return list(map(rows.__getitem__, map(slice, firsts, firsts[1:] + [None])))
 
 
-def stream_of(source: str, rows: Sequence[tuple]) -> Tuple[TokenStream, List[tuple]]:
-    """The stream of ``source`` from its chunks' rows, and the rows'
-    further columns (one empty column when there are no tokens).
-
-    >>> cut = token_pattern().split
-    >>> fields = lambda surfaces: list(zip(surfaces, *surface_forms(surfaces)))
-    >>> stream, _ = stream_of("(ڪراچي)،", chunk_rows(cut(" (ڪراچي)،"), fields))
-    >>> [(t.surface, t.span) for t in stream]
-    [('(', (0, 1)), ('ڪراچي', (1, 11)), (')', (11, 12)), ('،', (12, 14))]
-    """
-    advances, surfaces, sizes, norms, kinds, *more = (
-        list(zip(*chain.from_iterable(rows))) or [()] * 6)
-    # The text's first chunk has no space before it.
-    ends = tuple(accumulate(advances, initial=-1))[1:]
-    return TokenStream(source, surfaces, tuple(map(sub, ends, sizes)), ends, norms,
-                       kinds), more
-
-
 def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
     """Tokenize whitespace-normalized text.
 
@@ -259,4 +291,4 @@ def tokenize(raw: str, specials: str = EDGE_SPECIALS) -> TokenStream:
     """
     parts = token_pattern(specials).split(" " + raw)
     rows = chunk_rows(parts, lambda surfaces: list(zip(surfaces, *surface_forms(surfaces, specials))))
-    return stream_of(raw, rows)[0]
+    return TokenStream.from_rows(raw, list(chain.from_iterable(rows)))

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sindhi_ner.errors import DuplicateEntry, MalformedLine, MissingDataFile, UnknownCategory
 from sindhi_ner.gazetteer import (
@@ -295,14 +295,26 @@ READER_PIECES = [b"\xef\xbb\xbf", b"\n", b"\r", b"\r\n", b"\t", b"#", b" ", b"a"
                  b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xc0\xaf", b"\xed\xa0\x80"]
 
 
+# Files that are only a truncated byte-order mark.  They are not valid
+# UTF-8, and read_lines refuses them; the utf-8-sig text-mode reader reads
+# them as empty, so there the reference is wrong.
+TRUNCATED_BOMS = (b"\xef", b"\xef\xbb")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(READER_PIECES), st.binary(max_size=2)),
                 max_size=16).map(b"".join))
+@example(TRUNCATED_BOMS[0])
+@example(TRUNCATED_BOMS[1])
 def test_read_lines_agrees_with_the_text_mode_reader(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.tsv"
         path.write_bytes(data)
-        assert _outcome(read_lines, path) == _outcome(text_mode_read_lines, path)
+        if data in TRUNCATED_BOMS:
+            assert _outcome(read_lines, path) == ("malformed", 1,
+                                                  f"{path}:1: not valid UTF-8")
+        else:
+            assert _outcome(read_lines, path) == _outcome(text_mode_read_lines, path)
 
 
 def test_read_lines_refuses_what_is_not_a_file(tmp_path):

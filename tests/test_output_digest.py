@@ -10,13 +10,17 @@ synonyms.  A change meant to keep every output byte-identical must leave
 says why.
 
 Outputs depend on Python's Unicode tables (``str.isalpha``, ``\\d``,
-``str.split``, ``str.lower``), so the digests hold for the Unicode version
-they were recorded with.
+``str.split``, ``str.lower``), so the digests hold where those give what
+they gave when the digests were recorded, for every character of the
+inputs and of the engines' data.  ``PROPERTIES_DIGEST`` pins that; a
+Python whose tables differ there skips the check.
 """
 
 import hashlib
 import random
+import re
 import unicodedata
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +31,10 @@ from sindhi_ner.text import EDGE_SPECIALS, PUNCTUATION, normalize_whitespace, to
 
 from test_acceptance import GOLDEN
 
+# The Unicode version ``PROPERTIES_DIGEST`` was recorded with, which must
+# reproduce it.
 UNIDATA_VERSION = "14.0.0"
+PROPERTIES_DIGEST = "d6beceaf6ec8644e"
 
 DIGESTS = {
     "default/golden/inline": "d34278831a2a87a2",
@@ -138,14 +145,38 @@ def digest(engine, texts, fmt):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def digest_inputs(engines):
+    return {"golden": golden_texts(), "gold": gold_texts(),
+            "random": random_texts(engines["default"]),
+            "glued": glued_texts(engines["default"])}
+
+
 def output_digests(engines):
-    inputs = {"golden": golden_texts(), "gold": gold_texts(),
-              "random": random_texts(engines["default"]),
-              "glued": glued_texts(engines["default"])}
+    inputs = digest_inputs(engines)
     return {f"{name}/{corpus}/{fmt}": digest(engine, texts, fmt)
             for name, engine in engines.items()
             for corpus, texts in inputs.items()
             for fmt in RENDER_FORMATS}
+
+
+_DIGIT = re.compile(r"\d")
+
+
+def properties_digest(engines):
+    """A digest of what ``str.isalpha``, ``\\d``, ``str.split`` and
+    ``str.lower`` give each character of the digest inputs, of the
+    engines' data files and of their edge specials."""
+    chars = {c for texts in digest_inputs(engines).values() for text in texts for c in text}
+    for engine in engines.values():
+        config = engine.config
+        chars.update(config.edge_specials)
+        for path in (*config.gazetteers, *(path for path, _ in config.word_lists),
+                     config.synonyms):
+            if path:
+                chars.update(Path(path).read_text("utf-8"))
+    properties = [(c, c.isalpha(), bool(_DIGIT.fullmatch(c)), not c.split(), c.lower())
+                  for c in sorted(chars)]
+    return hashlib.sha256(repr(properties).encode("utf-8")).hexdigest()[:16]
 
 
 def edge_shapes(texts):
@@ -175,8 +206,17 @@ def test_glued_texts_cover_both_edges(engine):
     assert (True, True) in edge_shapes(glued_texts(engine))
 
 
-def test_outputs_match_recorded_digests(digest_engines):
+def test_recorded_unicode_version_gives_the_recorded_properties(digest_engines):
+    # Otherwise a change to the inputs or the data would make every
+    # Python skip the digest check below.
     if unicodedata.unidata_version != UNIDATA_VERSION:
-        pytest.skip(f"digests recorded with Unicode {UNIDATA_VERSION}, "
+        pytest.skip(f"properties recorded with Unicode {UNIDATA_VERSION}, "
                     f"this Python has {unicodedata.unidata_version}")
+    assert properties_digest(digest_engines) == PROPERTIES_DIGEST
+
+
+def test_outputs_match_recorded_digests(digest_engines):
+    if properties_digest(digest_engines) != PROPERTIES_DIGEST:
+        pytest.skip(f"this Python's Unicode {unicodedata.unidata_version} tables give "
+                    "the digest inputs other properties than those recorded")
     assert output_digests(digest_engines) == DIGESTS

@@ -47,6 +47,7 @@ from sindhi_ner.text import (
     EDGE_SPECIALS, NUMBER, WORD, TokenStream, normalize_whitespace, tokenize)
 
 from test_acceptance import GOLDEN
+from test_text import set_columns
 
 
 def entity_to_dict(e: EntitySpan) -> dict:
@@ -1130,6 +1131,49 @@ def test_a_plan_made_for_one_text_leaves_the_next_texts_calls_alone(engines):
         assert len({present & pipeline._SURNAME for present in masks}) == 2
 
 
+def test_a_lone_letter_name_plans_no_row(engines):
+    # The genitive جي is only a letter name.  Before a plain word or at
+    # the end of the text it can start no match, so a document whose
+    # letter names all stand alone leaves before it makes or reads a plan.
+    default = engines[0]
+    assert default._gates["جي"] == pipeline._LETTER
+    for text in ("اهو جي گهر", "هو ويو جي", "جي گهر جي"):
+        engine = Engine(default.config, default.rules, default.synonyms)
+        stream, bits = engine_tokens(engine, text)
+        assert any(bits), text
+        with recorded_matcher_calls() as calls:
+            assert _collect(engine, stream, bits) == []
+        assert (calls, engine._plans) == ([], {}), text
+
+
+def test_letter_names_before_a_letter_name_or_a_surname_still_tag(engine):
+    # Initials before a surname, and runs of letter names, with and
+    # without the genitive after them.
+    expected = {
+        "جي اي مهر": ("<PERSON>جي اي مهر</PERSON>", RuleId.R8_Initials),
+        "اي مهر": ("<PERSON>اي مهر</PERSON>", RuleId.R8_Initials),
+        "ڪي ٽي اين": ("<ABBREVIATION>ڪي ٽي اين</ABBREVIATION>", RuleId.R9_Abbreviation),
+        "ٽي وي": ("<ABBREVIATION>ٽي وي</ABBREVIATION>", RuleId.R9_Abbreviation),
+        "ڪي ٽي اين جي آفيس": ("<ABBREVIATION>ڪي ٽي اين</ABBREVIATION> جي آفيس",
+                              RuleId.R9_Abbreviation),
+    }
+    for text, (inline, rule) in expected.items():
+        doc = engine.tag_text(text)
+        assert (render(doc, "inline"), [e.rule for e in doc.entities]) == (inline, [rule])
+
+
+def test_a_document_with_no_proposal_builds_no_column(engine):
+    # No token, no candidate, and only lone letter names: tagging and
+    # rendering it read no token column, so none is built.
+    for text in ("", " ".join(FILLER), "اهو جي گهر", "هو ويو جي"):
+        doc = engine.tag_text(text)
+        render(doc, "jsonl")
+        render(doc, "inline")
+        assert doc.entities == ()
+        assert set_columns(doc.tokens) == [], text
+        assert len(doc.tokens) == len(tokenize(normalize_whitespace(text)))
+
+
 def test_enabled_is_read_only(engines):
     for engine in engines:
         with pytest.raises(TypeError):
@@ -1264,6 +1308,17 @@ def test_cascade_runs_each_rule_once_after_its_blockers():
     for k, row in enumerate(pipeline._CASCADE):
         assert row.blocked_by <= set(order[:k]), row.rule
         assert callable(getattr(RuleSet, row.matcher)), row.matcher
+
+
+def test_every_letter_name_row_tests_the_next_token_within_the_fold():
+    # ``_collect`` drops a letter name's bit unless its next token carries
+    # a bit of ``_LETTER_NEXT``: right only while every row gated on a
+    # letter name asks at least that of its next token.
+    rows = [row for row in pipeline._CASCADE if row.gate & pipeline._LETTER]
+    assert [row.rule for row in rows] == [RuleId.R8_Initials, RuleId.R9_Abbreviation]
+    for row in rows:
+        assert row.gate == pipeline._LETTER and row.then, row.rule
+        assert row.then & ~pipeline._LETTER_NEXT == 0, row.rule
 
 
 def fixed_texts(engine):

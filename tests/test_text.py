@@ -1,6 +1,12 @@
 """Tokenizer tests: chunking, edge peeling, kinds, spans, normalization."""
 
+import copy
+import os
+import pickle
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,3 +197,101 @@ _TRICKY = (list(EDGE_SPECIALS) + ["\u200c", "\u0650", "0", "7", "\u0663",
 def test_tokenize_matches_chunk_reference(raw, specials):
     got = [(t.surface, t.span, t.norm, t.kind) for t in tokenize(raw, specials)]
     assert got == chunk_reference(raw, specials)
+
+
+# --------------------------------------------------------------------------
+# Lazy columns
+# --------------------------------------------------------------------------
+
+COLUMNS = ("surfaces", "starts", "ends", "norms", "kinds")
+
+# A fresh stream's first access: each column, and each operation that
+# reads the columns.
+FIRST_READS = {**{name: attrgetter(name) for name in COLUMNS},
+               "iter": list, "slice": lambda stream: stream[-2:],
+               "eq": lambda stream: stream == stream, "hash": hash, "repr": repr,
+               "pickle": pickle.dumps, "deepcopy": copy.deepcopy}
+
+
+def set_columns(stream):
+    """The columns of ``stream`` that are built, read through the slot
+    descriptors, which never build one."""
+    built = []
+    for name in COLUMNS:
+        try:
+            getattr(TokenStream, name).__get__(stream)
+        except AttributeError:
+            continue
+        built.append(name)
+    return built
+
+
+def assert_lazy_stream_matches_its_columns(stream, first):
+    """``stream``, fresh, behaves as the stream the constructor builds
+    from its columns once ``first`` has built them."""
+    assert set_columns(stream) == []
+    n = len(stream)
+    assert set_columns(stream) == []
+    FIRST_READS[first](stream)
+    assert set_columns(stream) == list(COLUMNS)
+    # A built stream is a plain TokenStream, whose column reads are slot reads.
+    assert type(stream) is TokenStream
+    reference = TokenStream(stream.source, stream.surfaces, stream.starts, stream.ends,
+                            stream.norms, stream.kinds)
+    assert len(stream) == len(reference) == n
+    assert stream == reference and reference == stream
+    assert hash(stream) == hash(reference)
+    assert pickle.loads(pickle.dumps(stream)) == reference == copy.deepcopy(stream)
+    assert repr(stream) == repr(reference)
+    assert list(stream) == list(reference)
+    assert [stream[i] for i in range(-n, n)] == [reference[i] for i in range(-n, n)]
+    assert stream[1:-1] == reference[1:-1]
+
+
+# Words of the engine's gazetteers and word lists, and shapes around them.
+_ENGINE_WORDS = ["جي", "اي", "مهر", "ڪي", "ٽي", "اين", "ڪراچي", "يونيورسٽي", "ڊاڪٽر",
+                 "شفقت", "15", "مارچ", "10:40", "www.sindhila.org", "x@y.com", "KTN"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_TRICKY),
+                          st.characters(blacklist_categories=("Cs",))),
+                max_size=40).map("".join),
+       st.sampled_from([EDGE_SPECIALS, ".()", ""]), st.sampled_from(sorted(FIRST_READS)))
+def test_tokenize_streams_match_their_columns(raw, specials, first):
+    assert_lazy_stream_matches_its_columns(tokenize(raw, specials), first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_ENGINE_WORDS), st.sampled_from(_TRICKY)),
+                max_size=20).map(" ".join), st.sampled_from(sorted(FIRST_READS)))
+def test_engine_streams_match_their_columns(engine, text, first):
+    stream, bits = engine._tokens(normalize_whitespace(text))
+    assert len(stream) == len(bits)
+    assert_lazy_stream_matches_its_columns(stream, first)
+
+
+def columns_read_from(stream, first):
+    """The columns of ``stream``, read after its ``first`` column."""
+    getattr(stream, first)
+    return attrgetter(*COLUMNS)(stream)
+
+
+def test_threads_that_read_a_fresh_stream_get_equal_columns(engine):
+    text = normalize_whitespace(" ".join(_ENGINE_WORDS + _TRICKY) * 50)
+    expected = columns_read_from(engine._tokens(text)[0], "surfaces")
+    workers = min(8, (os.cpu_count() or 1) + 1)   # more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in range(20):
+                stream = engine._tokens(text)[0]
+                # Each thread first reads another column.
+                futures = [pool.submit(columns_read_from, stream, COLUMNS[k % 5])
+                           for k in range(workers)]
+                for future in futures:
+                    assert future.result(timeout=60) == expected
+                assert type(stream) is TokenStream
+    finally:
+        sys.setswitchinterval(interval)
